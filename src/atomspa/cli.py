@@ -17,7 +17,7 @@ from atomspa.atoms import (AffinePoint, ScalarK, k_mul,
 from atomspa.sched import Timing, build_schedules, addressing_diff
 from atomspa.leakage import LeakageParams, simulate_trace, write_trace, \
     read_trace
-from atomspa.spa import run_attack, write_report
+from atomspa.spa import recover_scalar, run_attack, write_report
 from atomspa.diagram import render_diagram, schedule_svg
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ DEFAULT_CONFIG = {
     "scalar": {"bits": 256, "ones_below_msb": 145, "pick_seed": 1},
     "base_point": "generator",
     "timing": {},
-    "leakage": {"alpha": 1.0, "beta": 0.0, "sigma": 0.05, "seed": 1,
+    "leakage": {"alpha": 1.0, "sigma": 0.05, "seed": 1,
                 "samples_per_cycle": 300},
     "workers": 1,
 }
@@ -108,7 +108,10 @@ def resolve_timing(cfg):
     bad = set(spec) - known
     if bad:
         raise ConfigError(f"unknown timing options: {sorted(bad)}")
-    return Timing(**spec)
+    try:
+        return Timing(**spec)
+    except ValueError as e:
+        raise ConfigError(f"bad timing parameters: {e}") from e
 
 
 def resolve_leakage(cfg, seed_override=None):
@@ -152,7 +155,7 @@ def cmd_simulate(args):
 
 def cmd_attack(args):
     trace = read_trace(args.trace, args.meta or _sidecar(args.trace))
-    report = run_attack(trace, chunks=args.chunks)
+    report = run_attack(trace)
     paths = write_report(report, args.out_dir)
     for line in report.summary_lines():
         print(line)
@@ -162,7 +165,6 @@ def cmd_attack(args):
     if truth is not None:
         want = "".join(truth)
         got = report.recovered_bits
-        from atomspa.spa import recover_scalar
         if got is None or got != recover_scalar(want):
             print("scalar NOT recovered")
             return EXIT_NOT_RECOVERED
@@ -191,14 +193,6 @@ def cmd_diagram(args):
     return EXIT_OK
 
 
-def cmd_report(args):
-    trace = read_trace(args.trace, args.meta or _sidecar(args.trace))
-    report = run_attack(trace, chunks=args.chunks)
-    for line in report.summary_lines():
-        print(line)
-    return EXIT_OK
-
-
 def _sidecar(trace_path):
     base, _ = os.path.splitext(trace_path)
     return base + ".json"
@@ -220,19 +214,12 @@ def build_parser():
     att.add_argument("--trace", required=True, help="raw float32 trace file")
     att.add_argument("--meta", help="metadata sidecar (default: trace.json)")
     att.add_argument("--out-dir", default=".", help="report directory")
-    att.add_argument("--chunks", type=int, default=1)
     att.set_defaults(func=cmd_attack)
 
     dia = sub.add_parser("diagram", help="draw the pattern schedules")
     dia.add_argument("--config", help="JSON scenario config")
     dia.add_argument("--out-dir", default=".", help="output directory")
     dia.set_defaults(func=cmd_diagram)
-
-    rep = sub.add_parser("report", help="print attack summary only")
-    rep.add_argument("--trace", required=True)
-    rep.add_argument("--meta")
-    rep.add_argument("--chunks", type=int, default=1)
-    rep.set_defaults(func=cmd_report)
     return p
 
 

@@ -9,15 +9,13 @@ doubling and addition patterns.
 """
 
 from atomspa.atoms import PATTERNS, REGISTER_NAMES
-from atomspa.sched import addressing_diff
+from atomspa.sched import addressing_diff, mult_block_state
 
 MULT_COLORS = {
-    "load1": "#9fd49f", "load2": "#9fd49f",
+    "load1": "#9fd49f", "load2": "#9fd49f", "pp": "#e05545",
     "out": "#f6b0a0", "wait_first": "#fbd9d0", "wait": "#ffffff",
     "idle": "#ffffff",
 }
-for i in range(1, 10):
-    MULT_COLORS[f"pp{i}"] = "#e05545"
 
 ADDSUB_COLORS = {"add": "#6f8fd8", "sub": "#c77bc9"}
 
@@ -125,7 +123,7 @@ def schedule_svg(schedule, overlay_diff=None, cell=11, title=None):
                        f'height="21" fill="{color}" '
                        f'opacity="{0.55 if light else 1.0}"/>')
         # multiplier layer
-        color = MULT_COLORS.get(ev.mult_state, "#ffffff")
+        color = MULT_COLORS.get(mult_block_state(ev.mult_state), "#ffffff")
         if color != "#ffffff":
             out.append(f'<rect x="{x}" y="{mult_y}" width="{cell-1}" '
                        f'height="21" fill="{color}"/>')

@@ -1,11 +1,12 @@
 """Prime-field arithmetic and the segmented multiplier model.
 
-Field elements are canonical ints in [0, p).  Multiplication goes through an
-explicit segment-product plan that mirrors the hardware multiplier: operands
-are split into four 64-bit segments and the 512-bit product is assembled from
-either 9 partial products (two-level Karatsuba) or 16 (classical schoolbook).
-The plan is what the cycle scheduler charges time for; its arithmetic output
-is checked against plain big-integer multiplication in the tests.
+Field elements are canonical ints in [0, p) and PrimeField.mul is a plain
+big-integer product followed by %.  The segment-product plans model the
+hardware multiplier: operands are split into four 64-bit segments and the
+512-bit product is assembled from either 9 partial products (two-level
+Karatsuba) or 16 (classical schoolbook).  A plan's step count is what the
+cycle scheduler charges time for; its arithmetic output is checked against
+big-integer multiplication in the tests.
 """
 
 from dataclasses import dataclass
@@ -109,53 +110,18 @@ def mul_schedule(kind):
     raise ValueError(f"unknown multiplication plan {kind!r}")
 
 
-def p256_reduce(t):
-    """Fast reduction of a 512-bit value modulo the P-256 prime.
-
-    Standard sum-of-word-slices method: the 16 32-bit words of t are folded
-    into eight shifted 256-bit terms (two doubled, four subtracted) and the
-    result is brought into canonical range.
-    """
-    c = [(t >> (32 * i)) & 0xFFFFFFFF for i in range(16)]
-
-    def w(a7, a6, a5, a4, a3, a2, a1, a0):
-        return (
-            (a7 << 224) | (a6 << 192) | (a5 << 160) | (a4 << 128)
-            | (a3 << 96) | (a2 << 64) | (a1 << 32) | a0
-        )
-
-    s = w(c[7], c[6], c[5], c[4], c[3], c[2], c[1], c[0])
-    s += 2 * w(c[15], c[14], c[13], c[12], c[11], 0, 0, 0)
-    s += 2 * w(0, c[15], c[14], c[13], c[12], 0, 0, 0)
-    s += w(c[15], c[14], 0, 0, 0, c[10], c[9], c[8])
-    s += w(c[8], c[13], c[15], c[14], c[13], c[11], c[10], c[9])
-    s -= w(c[10], c[8], 0, 0, 0, c[13], c[12], c[11])
-    s -= w(c[11], c[9], 0, 0, c[15], c[14], c[13], c[12])
-    s -= w(c[12], 0, c[10], c[9], c[8], c[15], c[14], c[13])
-    s -= w(c[13], 0, c[11], c[10], c[9], 0, c[15], c[14])
-
-    # s is within a few multiples of p of the canonical range
-    while s < 0:
-        s += P256_P
-    while s >= P256_P:
-        s -= P256_P
-    return s
-
-
 class PrimeField:
-    """GF(p) with the multiplier routed through the segment plan.
+    """GF(p) on canonical residues.
 
-    All operations take and return canonical residues.  For the P-256 prime
-    the reduction uses the fast word-slice method; other primes reduce
-    generically.
+    mul is a big-integer product reduced with %; the segment plans above
+    model the hardware multiplier's timing and are checked against it in
+    the tests, but the arithmetic does not run through them.
     """
 
-    def __init__(self, p, mul_plan="karatsuba4"):
+    def __init__(self, p):
         if p < 3 or p % 2 == 0:
             raise ValueError("p must be an odd prime")
         self.p = p
-        self.plan = mul_schedule(mul_plan)
-        self._fast_reduce = p == P256_P
 
     def check(self, x):
         if not (0 <= x < self.p):
@@ -175,10 +141,7 @@ class PrimeField:
         return d
 
     def mul(self, a, b):
-        t = self.plan.evaluate(a, b)
-        if self._fast_reduce:
-            return p256_reduce(t)
-        return t % self.p
+        return a * b % self.p
 
     def sqr(self, a):
         return self.mul(a, a)
@@ -195,9 +158,9 @@ class PrimeField:
 class Curve:
     """Short Weierstrass curve y^2 = x^3 + ax + b over GF(p)."""
 
-    def __init__(self, name, p, a, b, gx, gy, n, mul_plan="karatsuba4"):
+    def __init__(self, name, p, a, b, gx, gy, n):
         self.name = name
-        self.field = PrimeField(p, mul_plan)
+        self.field = PrimeField(p)
         self.p = p
         self.a = a % p
         self.b = b % p

@@ -20,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from atomspa.sched import mult_block_state
+
 TRACE_DTYPE = "<f4"
+META_COUNTS = ("samples_per_cycle", "cycles_per_pattern", "pattern_count")
 
 # flat per-sample levels for each activity state; the red/light-red/white
-# distinction of the multiplier shows up as high/medium/low plateaus
+# distinction of the multiplier shows up as high/medium/low plateaus, and
+# every partial-product cycle draws the same "mult:pp" level
 DEFAULT_BASE_LEVELS = {
-    "mult:load1": 0.55, "mult:load2": 0.60,
-    **{f"mult:pp{i}": 1.00 for i in range(1, 10)},
+    "mult:load1": 0.55, "mult:load2": 0.60, "mult:pp": 1.00,
     "mult:out": 0.80, "mult:wait_first": 0.45, "mult:wait": 0.25,
     "mult:idle": 0.10,
     "addsub:load1": 0.30, "addsub:load2": 0.32, "addsub:store": 0.38,
@@ -37,7 +40,6 @@ DEFAULT_BASE_LEVELS = {
 @dataclass(frozen=True)
 class LeakageParams:
     alpha: float = 1.0          # power units per flipped address-line bit
-    beta: float = 0.0           # optional weight for bus-data Hamming weight
     sigma: float = 0.0          # Gaussian noise standard deviation
     samples_per_cycle: int = 300
     seed: int = 0
@@ -48,6 +50,9 @@ class LeakageParams:
             raise ValueError("samples_per_cycle must be >= 1")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
+        unknown = set(self.base_levels or ()) - set(DEFAULT_BASE_LEVELS)
+        if unknown:
+            raise ValueError(f"unknown base levels: {sorted(unknown)}")
 
     def levels(self):
         lv = dict(DEFAULT_BASE_LEVELS)
@@ -57,7 +62,7 @@ class LeakageParams:
 
     def digest(self):
         blob = json.dumps({
-            "alpha": self.alpha, "beta": self.beta, "sigma": self.sigma,
+            "alpha": self.alpha, "sigma": self.sigma,
             "samples_per_cycle": self.samples_per_cycle, "seed": self.seed,
             "base_levels": sorted((self.levels()).items()),
         }, sort_keys=True).encode()
@@ -93,31 +98,10 @@ def _base_vector(schedule, params):
     spc = params.samples_per_cycle
     out = np.empty(schedule.cycle_count * spc, dtype=np.float64)
     for i, ev in enumerate(schedule.events):
-        level = lv[f"mult:{ev.mult_state}"] + lv[f"addsub:{ev.addsub_state}"]
+        level = (lv[f"mult:{mult_block_state(ev.mult_state)}"]
+                 + lv[f"addsub:{ev.addsub_state}"])
         out[i * spc : (i + 1) * spc] = level
     return out
-
-
-def simulate_pattern_power(schedule, prev_state, params, rng=None,
-                           data_hw=None):
-    """Power samples of one pattern window.
-
-    prev_state is the (src, dst) address-line state left by the previous
-    window; the first cycle's transition leak is measured against it.
-    data_hw optionally supplies a per-cycle Hamming weight of the bus data
-    for the beta term (the plain simulator has no data values and leaves it
-    unset, making beta inert).
-    """
-    spc = params.samples_per_cycle
-    leak = params.alpha * _transition_leak(schedule.line_states(), prev_state)
-    if data_hw is not None:
-        leak = leak + params.beta * np.asarray(data_hw, dtype=np.float64)
-    samples = _base_vector(schedule, params) + np.repeat(leak, spc)
-    if params.sigma > 0:
-        if rng is None:
-            rng = np.random.default_rng(params.seed)
-        samples = samples + rng.normal(0.0, params.sigma, samples.size)
-    return samples.astype(TRACE_DTYPE)
 
 
 def _pattern_rng(seed, index):
@@ -161,6 +145,7 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
 
     def render(i):
         k = seq[i]
+        # the first window starts from the line state its own kind leaves
         pk = seq[i - 1] if i > 0 else seq[0]
         vec = base[k] + np.repeat(leak[(pk, k)], params.samples_per_cycle)
         if params.sigma > 0:
@@ -182,7 +167,6 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
         "ground_truth": "".join(seq),
         "seed": params.seed,
         "alpha": params.alpha,
-        "beta": params.beta,
         "sigma": params.sigma,
         "params_hash": params.digest(),
         "dtype": TRACE_DTYPE,
@@ -205,6 +189,13 @@ def read_trace(trace_path, meta_path):
             meta = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise IOError(f"cannot read trace metadata: {e}") from e
+    if not isinstance(meta, dict):
+        raise IOError("trace metadata is not a JSON object")
+    for key in META_COUNTS:
+        v = meta.get(key)
+        if type(v) is not int or v < 1:
+            raise IOError(f"trace metadata {key} must be a positive int, "
+                          f"not {v!r}")
     samples = np.fromfile(trace_path, dtype=meta.get("dtype", TRACE_DTYPE))
     expect = (meta["samples_per_cycle"] * meta["cycles_per_pattern"]
               * meta["pattern_count"])

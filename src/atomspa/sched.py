@@ -3,11 +3,12 @@
 The machine has one multiplier, one add/subtract unit, nine registers and two
 external operand ports, all talking over a single bus: one source drives it
 per clock cycle, the controller addresses the source and the receiver(s).
-The multiplier takes two fetch cycles and nine partial-product cycles per
-field product; operand fetch for the next product may overlap the last two
-partial products of the current one, and a finished product may be written
-back while the next one is already computing.  The adder/subtractor takes
-two fetch cycles plus one processing cycle.
+The multiplier takes two fetch cycles plus one cycle per partial product of
+its segment plan (nine for karatsuba4, sixteen for classical); operand fetch
+for the next product may overlap the last two partial products of the
+current one, and a finished product may be written back while the next one
+is already computing.  The adder/subtractor takes two fetch cycles plus one
+processing cycle.
 
 Both atomic patterns must exhibit the identical block-state sequence, so the
 schedule is built once against the union of both patterns' data dependencies
@@ -22,20 +23,19 @@ why the window's first cycle carries the previous final-product write-back.
 from dataclasses import dataclass
 
 from atomspa.atoms import DOUBLE_PATTERN, ADD_PATTERN, REGISTER_NAMES, EXT_QX, EXT_QY
+from atomspa.field import mul_schedule
 
 MULT = "MULT"
 ADDSUB = "ADDSUB"
 EXTERNALS = (EXT_QX, EXT_QY)
 
-# declaration order fixing the default consecutive address codes
-ENTITY_ORDER = REGISTER_NAMES + EXTERNALS + (MULT, ADDSUB)
-
 PATTERN_OPS = {"D": DOUBLE_PATTERN, "A": ADD_PATTERN}
 KINDS = ("D", "A")
 
-MULT_STATES = ("load1", "load2") + tuple(f"pp{i}" for i in range(1, 10)) + (
-    "out", "wait_first", "wait", "idle")
-ADDSUB_STATES = ("load1", "load2", "store", "idle")
+
+def mult_block_state(state):
+    """Activity class of a multiplier state: pp1..ppN are all "pp"."""
+    return "pp" if state.startswith("pp") else state
 
 
 # Default 6-bit address codes.  The attack separates the two patterns by the
@@ -61,18 +61,12 @@ DEFAULT_ADDRESS_CODES = {
 }
 
 
-def default_addresses():
-    return dict(DEFAULT_ADDRESS_CODES)
-
-
 @dataclass(frozen=True)
 class Timing:
     """Machine timing rules.  Defaults reproduce the reference design:
     109-cycle patterns with six of the ten multiplications pipelined."""
 
-    clock_ns: float = 30.0
-    samples_per_cycle: int = 300
-    pp_steps: int = 9
+    mul_plan: str = "karatsuba4"    # multiplier segment plan: one pp cycle per step
     overlap: bool = True            # master switch for every overlap rule below
     readable_lag: int = 1           # register usable this many cycles after its write-back
     mult_wb_lag: int = 0            # product drivable this many cycles after the output cycle
@@ -83,11 +77,18 @@ class Timing:
     internal_reuse: bool = False    # add/sub unit always fetches (2 cycles per the block spec)
     addsub_pipelined: bool = True   # add/sub unit may load while finishing the previous op
     seq_barrier: bool = True        # non-multiplier ops issue only after earlier products started
-    mult_wb_deadline: str = "pp9"   # product must leave before this point of the next one
-    addresses: dict = None
+    mult_wb_deadline: str = "last"  # product leaves by the next one's "first"/"last" pp
+    addresses: dict = None          # overrides for DEFAULT_ADDRESS_CODES entries
+
+    def __post_init__(self):
+        mul_schedule(self.mul_plan)  # raises ValueError for an unknown plan
+        if self.mult_wb_deadline not in ("first", "last"):
+            raise ValueError(
+                f"mult_wb_deadline must be 'first' or 'last', "
+                f"not {self.mult_wb_deadline!r}")
 
     def resolved_addresses(self):
-        return dict(self.addresses) if self.addresses else default_addresses()
+        return {**DEFAULT_ADDRESS_CODES, **(self.addresses or {})}
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class PatternSchedule:
         return out
 
 
-class ScheduleError(Exception):
+class ScheduleError(ValueError):
     pass
 
 
@@ -218,15 +219,16 @@ class _PatternState:
 class _Scheduler:
     def __init__(self, timing):
         self.t = timing
+        self.pp_count = mul_schedule(timing.mul_plan).step_count
         self.ps = {k: _PatternState() for k in KINDS}
-        self.prev_mult = None      # (f1, pp1, pp9) of the last multiplication
-        self.mult_spans = []       # (instance, op_index, f1, f2, pp1, pp9)
+        self.prev_pp_last = None   # last partial-product cycle of the last multiplication
+        self.mult_spans = []       # (instance, op_index, f1, f2, pp_first, pp_last)
         self.addsub_spans = []     # (instance, op_index, f1, f2, comp)
         self.copy_cycles = []      # (instance, op_index, cycle)
         self.last_addsub_comp = 0
         self.last_addsub_op = None  # (instance, op_index)
         self.barrier = 0           # latest first-partial-product cycle so far
-        self.window_starts = []    # pp1 of each instance's first multiplication
+        self.window_starts = []    # pp_first of each instance's first multiplication
 
     # -- write-back helpers -------------------------------------------------
 
@@ -397,41 +399,41 @@ class _Scheduler:
 
     def _schedule_mult(self, instance, op_d, op_a):
         t = self.t
-        prev = self.prev_mult
-        if prev is None:
+        prev_pp_last = self.prev_pp_last
+        if prev_pp_last is None:
             lo = 1
-            min_pp1 = 3
+            min_pp_first = 3
         else:
-            _, prev_pp1, prev_pp9 = prev
-            min_pp1 = prev_pp9 + 1
+            min_pp_first = prev_pp_last + 1
             if t.overlap:
-                lo = prev_pp1 + 7          # within the last two partial products
+                lo = prev_pp_last - 1      # within the last two partial products
             else:
-                lo = prev_pp9 + 2          # only after the output cycle
-        lo = max(lo, 1, min_pp1 - 2)
+                lo = prev_pp_last + 2      # only after the output cycle
+        lo = max(lo, 1, min_pp_first - 2)
         for f1 in range(lo, lo + 4000):
-            if f1 + 2 < min_pp1:
+            if f1 + 2 < min_pp_first:
                 continue
             plans = self._plan_fetches(instance, op_d, op_a, f1, MULT, True)
             if plans is None:
                 continue
             self._apply_fetches(plans, MULT, {"D": op_d, "A": op_a})
-            pp1 = f1 + 2
-            pp9 = pp1 + t.pp_steps - 1
+            pp_first = f1 + 2
+            pp_last = pp_first + self.pp_count - 1
             # the previous product must have left its output register
-            if prev is not None:
-                deadline = pp1 if t.mult_wb_deadline == "pp1" else pp9
+            if prev_pp_last is not None:
+                deadline = pp_first if t.mult_wb_deadline == "first" else pp_last
                 for kind in KINDS:
                     self._flush_pending(kind, MULT, deadline)
             for kind, op in (("D", op_d), ("A", op_a)):
                 self.ps[kind].pending[MULT] = {
                     "op_index": op.index, "instance": instance,
-                    "latch": pp9 + 1, "dst": op.dst}
-            self.prev_mult = (f1, pp1, pp9)
-            self.mult_spans.append((instance, op_d.index, f1, f1 + 1, pp1, pp9))
-            self.barrier = max(self.barrier, pp1)
+                    "latch": pp_last + 1, "dst": op.dst}
+            self.prev_pp_last = pp_last
+            self.mult_spans.append(
+                (instance, op_d.index, f1, f1 + 1, pp_first, pp_last))
+            self.barrier = max(self.barrier, pp_first)
             if op_d.index == 1:
-                self.window_starts.append(pp1)
+                self.window_starts.append(pp_first)
             return
         raise ScheduleError(f"no slot for multiplication op {op_d.index}")
 
@@ -546,15 +548,15 @@ def _window_events(sched, start, period):
         per_kind[kind] = txs
     # block states (shared between patterns)
     mult_state = {}
-    for (_, _, f1, f2, pp1, pp9) in sched.mult_spans:
-        for i, c in enumerate(range(pp1, pp9 + 1), start=1):
+    for (_, _, f1, f2, pp_first, pp_last) in sched.mult_spans:
+        for i, c in enumerate(range(pp_first, pp_last + 1), start=1):
             if start <= c < start + period:
                 mult_state[c - start + 1] = f"pp{i}"
         for c, name in ((f1, "load1"), (f2, "load2")):
             rel = c - start + 1
             if start <= c < start + period and rel not in mult_state:
                 mult_state[rel] = name
-        out = pp9 + 1
+        out = pp_last + 1
         rel = out - start + 1
         if start <= out < start + period and rel not in mult_state:
             mult_state[rel] = "out"

@@ -19,13 +19,6 @@ import numpy as np
 from atomspa.atoms import ScalarK
 
 
-@dataclass(frozen=True)
-class KeyCandidate:
-    sample_index: int
-    labels: tuple          # one boolean per pattern window
-    correctness_pct: float = None  # against ground truth, label True = 'A'
-
-
 @dataclass
 class AttackReport:
     pattern_count: int
@@ -92,31 +85,8 @@ def classify_matrix(matrix, threshold):
     return m > thr
 
 
-def classify(matrix, threshold, truth=None):
-    """KeyCandidate objects, one per sample offset (list API; the attack
-    pipeline itself stays in array form)."""
-    labels = classify_matrix(matrix, threshold)
-    curve = correctness_curve(labels, truth) if truth is not None else None
-    out = []
-    for j in range(labels.shape[1]):
-        pct = float(curve[j]) if curve is not None else None
-        out.append(KeyCandidate(j, tuple(bool(x) for x in labels[:, j]), pct))
-    return out
-
-
 def _truth_array(truth):
-    t = np.asarray([k == "A" for k in truth], dtype=bool)
-    return t
-
-
-def correctness(labels, truth, polarity="as-is"):
-    """Percentage of correctly labelled patterns for one candidate."""
-    lab = np.asarray(labels, dtype=bool)
-    t = _truth_array(truth)
-    if lab.shape != t.shape:
-        raise ValueError("labels and ground truth differ in length")
-    matches = (lab == t).sum() if polarity == "as-is" else (lab != t).sum()
-    return 100.0 * float(matches) / t.size
+    return np.asarray([k == "A" for k in truth], dtype=bool)
 
 
 def correctness_curve(labels, truth):
@@ -126,24 +96,6 @@ def correctness_curve(labels, truth):
         raise ValueError("labels and ground truth differ in length")
     matches = (labels == t[:, None]).sum(axis=0)
     return 100.0 * matches / t.size
-
-
-def resolve_polarity(labels):
-    """Map a candidate's labels onto D/A minimizing grammar violations.
-
-    A violation is an addition with no doubling right before it.  Ties go to
-    the mapping with fewer additions, then to the as-is mapping.  Returns
-    (sequence string, violations).
-    """
-    lab = np.asarray(labels, dtype=bool)
-    options = []
-    for flip in (False, True):
-        a = lab ^ flip  # True = 'A'
-        viol = int(a[0]) + int((a[1:] & a[:-1]).sum())
-        options.append((viol, int(a.sum()), int(flip), a))
-    options.sort(key=lambda o: o[:3])
-    viol, _, _, a = options[0]
-    return "".join("A" if x else "D" for x in a), viol
 
 
 def recover_scalar(da_sequence):
@@ -197,22 +149,10 @@ def _blind_recovery(labels):
     return recover_scalar(seq), support, j
 
 
-def run_attack(trace, chunks=1):
-    """Full pipeline: segment, mean threshold, classify, evaluate, recover.
-
-    chunks > 1 evaluates the candidate columns in that many column blocks
-    (results are identical; the work is embarrassingly parallel across
-    sample offsets).
-    """
+def run_attack(trace):
+    """Full pipeline: segment, mean threshold, classify, evaluate, recover."""
     matrix = segment(trace)
-    thr = mean_pattern(matrix)
-    if chunks > 1:
-        parts = [classify_matrix(m, t) for m, t in zip(
-            np.array_split(matrix, chunks, axis=1),
-            np.array_split(thr, chunks))]
-        labels = np.concatenate(parts, axis=1)
-    else:
-        labels = classify_matrix(matrix, thr)
+    labels = classify_matrix(matrix, mean_pattern(matrix))
 
     truth = trace.meta.get("ground_truth")
     if truth is not None:

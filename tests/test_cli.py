@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from atomspa.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NOT_RECOVERED, EXIT_OK,
-                         main)
+                         load_config, main, resolve_timing)
 from atomspa.leakage import read_trace
 from atomspa.spa import run_attack
 
 
-def small_config(tmp_path, **leak):
+def small_config(tmp_path, timing=None, **leak):
     cfg = {
         "scalar": {"bits": 20, "ones_below_msb": 9, "pick_seed": 3},
         "leakage": {"alpha": 1.0, "sigma": 0.05, "seed": 2,
                     "samples_per_cycle": 12, **leak},
+        "timing": timing or {},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -65,7 +66,7 @@ def test_seed_override_changes_trace(tmp_path):
 
 
 def test_null_leakage_not_recovered(tmp_path, capsys):
-    cfg = small_config(tmp_path, alpha=0.0, beta=0.0)
+    cfg = small_config(tmp_path, alpha=0.0)
     # enough patterns that a spurious grammar-consistent candidate is
     # effectively impossible
     cfg_data = json.loads(cfg.read_text())
@@ -130,10 +131,45 @@ def test_diagram_outputs(tmp_path, capsys):
     assert overlay.count("<svg") == 1
 
 
-def test_report_subcommand(tmp_path, capsys):
+def test_classical_plan_roundtrip(tmp_path, capsys):
+    cfg = small_config(tmp_path, timing={"mul_plan": "classical"})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert "179 cycles" in capsys.readouterr().out
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_OK
+    assert "fully recovered" in capsys.readouterr().out
+
+
+def test_partial_address_override(tmp_path):
+    cfg = small_config(tmp_path, timing={"addresses": {"X1": 5}})
+    assert resolve_timing(load_config(cfg)).resolved_addresses()["X1"] == 5
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("section, bad", [
+    ("timing", {"mul_plan": "toom"}),
+    ("timing", {"mult_wb_deadline": "pp5"}),
+    ("timing", {"mult_wb_lag": 3, "mult_wb_deadline": "first"}),  # unschedulable
+    ("leakage", {"base_levels": {"mult:pp3": 1.0}}),
+])
+def test_bad_timing_and_leakage_values(tmp_path, section, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: bad}))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_sidecar_missing_key_is_io_error(tmp_path, capsys):
     cfg = small_config(tmp_path)
     out = tmp_path / "run"
     main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    meta = json.loads((out / "trace.json").read_text())
+    del meta["cycles_per_pattern"]
+    (out / "trace.json").write_text(json.dumps(meta))
     capsys.readouterr()
-    assert main(["report", "--trace", str(out / "trace.bin")]) == EXIT_OK
-    assert "patterns" in capsys.readouterr().out
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_IO
+    assert "cycles_per_pattern" in capsys.readouterr().err

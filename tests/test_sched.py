@@ -138,11 +138,40 @@ def test_addresses_unique():
 def test_unschedulable_configuration_raises():
     # a slow write-back path cannot drain results before the next product
     with pytest.raises(ScheduleError):
-        build_schedules(Timing(mult_wb_lag=3, mult_wb_deadline="pp1"))
+        build_schedules(Timing(mult_wb_lag=3, mult_wb_deadline="first"))
+
+
+@pytest.mark.parametrize("bad", [{"mul_plan": "toom"},
+                                 {"mult_wb_deadline": "pp9"}])
+def test_bad_timing_values_raise(bad):
+    with pytest.raises(ValueError):
+        Timing(**bad)
+
+
+def test_partial_address_override_keeps_defaults():
+    table = Timing(addresses={"X1": 5}).resolved_addresses()
+    assert table == {**D_SCHED.addresses, "X1": 5}
+
+
+@pytest.mark.parametrize("plan, cycles, diff, pp", [
+    ("karatsuba4", 109, 46, 90),
+    ("classical", 179, 46, 160),
+])
+def test_multiplier_plan_sets_pattern_length(plan, cycles, diff, pp):
+    d, a = build_schedules(Timing(mul_plan=plan))
+    assert d.cycle_count == a.cycle_count == cycles
+    assert len(addressing_diff(d, a)) == diff
+    assert sum(e.mult_state.startswith("pp") for e in d.events) == pp
+    assert [e.mult_state for e in d.events] == [e.mult_state for e in a.events]
+    assert [e.addsub_state for e in d.events] == \
+        [e.addsub_state for e in a.events]
 
 
 def test_schedule_dataflow_matches_repeated_doubling():
     """Bus-level replay of a doubling-only stream reproduces 2^n * G.
+
+    Checked for both multiplier plans; the classical plan stretches every
+    product from 9 to 16 partial-product cycles.
 
     Operand values are captured at the scheduled load cycles and results
     are published at the scheduled write-back cycles.  A fetch placed before
@@ -153,16 +182,21 @@ def test_schedule_dataflow_matches_repeated_doubling():
     previous instance's spill-over work has just completed (the final
     instance's own tail would need one more window to drain).
     """
+    for plan in ("karatsuba4", "classical"):
+        _replay_doublings(plan)
+
+
+def _replay_doublings(plan):
     curve = get_curve("P-256")
     g = AffinePoint(curve.gx, curve.gy)
     f = curve.field
     instances = 5
-    sch = _Scheduler(Timing()).run(instances)
+    sch = _Scheduler(Timing(mul_plan=plan)).run(instances)
     ops = {op.index: op for op in DOUBLE_PATTERN}
 
     # per-instance fetch slots: where each op captures its two operands
     slots = {}
-    for inst, idx, f1, f2, pp1, pp9 in sch.mult_spans:
+    for inst, idx, f1, f2, _pp_first, _pp_last in sch.mult_spans:
         slots[(inst, idx)] = (f1, f2)
     for inst, idx, f1, f2, comp in sch.addsub_spans:
         slots[(inst, idx)] = (f1, f2)
@@ -202,7 +236,7 @@ def test_schedule_dataflow_matches_repeated_doubling():
             continue
         if tx.role.startswith("writeback"):
             key = (owner(tx.op_index, cyc), tx.op_index)
-            assert len(captured[key]) == 2, f"{key} incomplete operands"
+            assert len(captured[key]) == 2, f"{plan} {key} incomplete operands"
             value = result_of(key)
             regs[op.dst] = value
             bus_value = value
@@ -213,4 +247,4 @@ def test_schedule_dataflow_matches_repeated_doubling():
 
     got = to_affine(snapshot, curve)
     want = reference_k_mul(1 << (instances - 1), g, curve)
-    assert (got.x, got.y) == (want.x, want.y)
+    assert (got.x, got.y) == (want.x, want.y), plan
