@@ -247,7 +247,7 @@ def pattern_add(regs, curve, q, validate=True):
 
 
 def to_affine(regs, curve):
-    """Convert the register state back to an affine point (Fermat inversion)."""
+    """Convert the register state back to an affine point (one inversion)."""
     f = curve.field
     z = regs["X3"]
     if z == 0:

@@ -102,8 +102,15 @@ def resolve_point(cfg, curve):
         raise ConfigError(f"bad base point: {e}") from e
 
 
+def _section(cfg, name):
+    spec = cfg.get(name, {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {spec!r}")
+    return dict(spec)
+
+
 def resolve_timing(cfg):
-    spec = dict(cfg.get("timing", {}))
+    spec = _section(cfg, "timing")
     known = {f.name for f in fields(Timing)}
     bad = set(spec) - known
     if bad:
@@ -115,7 +122,7 @@ def resolve_timing(cfg):
 
 
 def resolve_leakage(cfg, seed_override=None):
-    spec = dict(cfg.get("leakage", {}))
+    spec = _section(cfg, "leakage")
     if seed_override is not None:
         spec["seed"] = seed_override
     try:
@@ -163,9 +170,8 @@ def cmd_attack(args):
         print(f"wrote {p}")
     truth = trace.meta.get("ground_truth")
     if truth is not None:
-        want = "".join(truth)
         got = report.recovered_bits
-        if got is None or got != recover_scalar(want):
+        if got is None or got != recover_scalar(truth):
             print("scalar NOT recovered")
             return EXIT_NOT_RECOVERED
         print("scalar fully recovered")
@@ -180,12 +186,12 @@ def cmd_diagram(args):
     paths = []
     paths += render_diagram(d, os.path.join(args.out_dir, "pattern_d"))
     paths += render_diagram(a, os.path.join(args.out_dir, "pattern_a"))
+    diff = addressing_diff(d, a)
     overlay = os.path.join(args.out_dir, "pattern_overlay.svg")
     with open(overlay, "w") as f:
-        f.write(schedule_svg(d, overlay_diff=addressing_diff(d, a),
+        f.write(schedule_svg(d, overlay_diff=diff,
                              title="doubling with addressing differences"))
     paths.append(overlay)
-    diff = addressing_diff(d, a)
     print(f"pattern length        : {d.cycle_count} cycles")
     print(f"differing bus cycles  : {len(diff)}")
     for p in paths:

@@ -9,7 +9,7 @@ doubling and addition patterns.
 """
 
 from atomspa.atoms import PATTERNS, REGISTER_NAMES
-from atomspa.sched import addressing_diff, mult_block_state
+from atomspa.sched import mult_block_state
 
 MULT_COLORS = {
     "load1": "#9fd49f", "load2": "#9fd49f", "pp": "#e05545",
@@ -143,16 +143,12 @@ def schedule_svg(schedule, overlay_diff=None, cell=11, title=None):
     return "\n".join(out) + "\n"
 
 
-def render_diagram(schedule, out_base, overlay_with=None):
-    """Write SVG and text grid for a schedule; returns the file paths.
-
-    overlay_with: a second schedule; differing cycles get outlined.
-    """
-    diff = addressing_diff(schedule, overlay_with) if overlay_with else None
+def render_diagram(schedule, out_base):
+    """Write SVG and text grid for a schedule; returns the file paths."""
     svg_path = f"{out_base}.svg"
     txt_path = f"{out_base}.txt"
     with open(svg_path, "w") as f:
-        f.write(schedule_svg(schedule, overlay_diff=diff))
+        f.write(schedule_svg(schedule))
     with open(txt_path, "w") as f:
         f.write(text_grid(schedule))
     return [svg_path, txt_path]

@@ -149,7 +149,7 @@ class PrimeField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def neg(self, a):
         return 0 if a == 0 else self.p - a

@@ -109,14 +109,10 @@ def _pattern_rng(seed, index):
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def simulate_trace(seq, d_sched, a_sched, params, workers=1):
-    """Concatenate per-pattern simulations with address carry-over.
-
-    seq is the executed pattern sequence ('D'/'A' strings) and must follow
-    the double-and-add grammar: it starts with a doubling and additions only
-    ever follow a doubling.
-    """
-    seq = tuple(seq)
+def check_grammar(seq):
+    """Raise ValueError unless seq is a non-empty run of 'D'/'A' patterns
+    that follows the double-and-add grammar: it starts with a doubling and
+    additions only ever follow a doubling."""
     if not seq:
         raise ValueError("empty pattern sequence")
     prev = None
@@ -126,6 +122,15 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
         if k == "A" and prev != "D":
             raise ValueError("addition without a preceding doubling")
         prev = k
+
+
+def simulate_trace(seq, d_sched, a_sched, params, workers=1):
+    """Concatenate per-pattern simulations with address carry-over.
+
+    seq is the executed pattern sequence ('D'/'A' strings); see check_grammar.
+    """
+    seq = tuple(seq)
+    check_grammar(seq)
     if d_sched.cycle_count != a_sched.cycle_count:
         raise ValueError("schedules disagree on the pattern length")
 
@@ -196,7 +201,19 @@ def read_trace(trace_path, meta_path):
         if type(v) is not int or v < 1:
             raise IOError(f"trace metadata {key} must be a positive int, "
                           f"not {v!r}")
-    samples = np.fromfile(trace_path, dtype=meta.get("dtype", TRACE_DTYPE))
+    if meta.get("dtype", TRACE_DTYPE) != TRACE_DTYPE:
+        raise IOError(f"trace metadata dtype must be {TRACE_DTYPE!r}, "
+                      f"not {meta['dtype']!r}")
+    truth = meta.get("ground_truth")
+    if truth is not None:
+        try:
+            if not isinstance(truth, str) or len(truth) != meta["pattern_count"]:
+                raise ValueError(f"need a D/A string of length pattern_count "
+                                 f"({meta['pattern_count']}), not {truth!r:.40}")
+            check_grammar(truth)
+        except ValueError as e:
+            raise IOError(f"trace metadata ground_truth: {e}") from e
+    samples = np.fromfile(trace_path, dtype=TRACE_DTYPE)
     expect = (meta["samples_per_cycle"] * meta["cycles_per_pattern"]
               * meta["pattern_count"])
     if samples.size != expect:

@@ -22,15 +22,18 @@ why the window's first cycle carries the previous final-product write-back.
 
 from dataclasses import dataclass
 
-from atomspa.atoms import DOUBLE_PATTERN, ADD_PATTERN, REGISTER_NAMES, EXT_QX, EXT_QY
+from atomspa.atoms import (DOUBLE_PATTERN, ADD_PATTERN, PATTERNS,
+                           REGISTER_NAMES, EXT_QX, EXT_QY)
 from atomspa.field import mul_schedule
 
 MULT = "MULT"
 ADDSUB = "ADDSUB"
 EXTERNALS = (EXT_QX, EXT_QY)
-
-PATTERN_OPS = {"D": DOUBLE_PATTERN, "A": ADD_PATTERN}
 KINDS = ("D", "A")
+ADDRESS_BITS = 6
+
+# a register written back in cycle w can drive the bus from cycle w + 1
+READABLE_LAG = 1
 
 
 def mult_block_state(state):
@@ -38,12 +41,12 @@ def mult_block_state(state):
     return "pp" if state.startswith("pp") else state
 
 
-# Default 6-bit address codes.  The attack separates the two patterns by the
-# Hamming distance between consecutive bus addresses, so the code assignment
-# decides which schedule differences are visible at all; this table makes
-# every differing cycle of the default schedule distinguishable at zero noise
-# and keeps the window boundary separable regardless of the preceding
-# pattern.  Override any entry through the timing config.
+# Default address codes, ADDRESS_BITS wide.  The attack separates the two
+# patterns by the Hamming distance between consecutive bus addresses, so the
+# code assignment decides which schedule differences are visible at all; this
+# table makes every differing cycle of the default schedule distinguishable
+# at zero noise and keeps the window boundary separable regardless of the
+# preceding pattern.  Override any entry through the timing config.
 DEFAULT_ADDRESS_CODES = {
     "X1": 0b100111,
     "X2": 0b110000,
@@ -66,26 +69,28 @@ class Timing:
     """Machine timing rules.  Defaults reproduce the reference design:
     109-cycle patterns with six of the ten multiplications pipelined."""
 
-    mul_plan: str = "karatsuba4"    # multiplier segment plan: one pp cycle per step
-    overlap: bool = True            # master switch for every overlap rule below
-    readable_lag: int = 1           # register usable this many cycles after its write-back
-    mult_wb_lag: int = 0            # product drivable this many cycles after the output cycle
-    addsub_wb_lag: int = 0          # sum drivable this many cycles after the store cycle
-    mult_port_forward: bool = True  # multiplier ports may latch a value during its write-back
-    addsub_port_forward: int = 1    # bitmask of add/sub ports that may do the same (1|2)
-    mult_operand_swap: bool = True  # commutative product: ports may load in either order
-    internal_reuse: bool = False    # add/sub unit always fetches (2 cycles per the block spec)
-    addsub_pipelined: bool = True   # add/sub unit may load while finishing the previous op
-    seq_barrier: bool = True        # non-multiplier ops issue only after earlier products started
-    mult_wb_deadline: str = "last"  # product leaves by the next one's "first"/"last" pp
-    addresses: dict = None          # overrides for DEFAULT_ADDRESS_CODES entries
+    mul_plan: str = "karatsuba4"  # multiplier segment plan: one pp cycle per step
+    overlap: bool = True          # master switch for every overlap rule
+    mult_wb_lag: int = 0          # product drivable this many cycles after the output cycle
+    addresses: dict = None        # overrides for DEFAULT_ADDRESS_CODES entries
 
     def __post_init__(self):
         mul_schedule(self.mul_plan)  # raises ValueError for an unknown plan
-        if self.mult_wb_deadline not in ("first", "last"):
+        if type(self.overlap) is not bool:
+            raise ValueError(f"overlap must be true or false, not {self.overlap!r}")
+        if type(self.mult_wb_lag) is not int or self.mult_wb_lag < 0:
             raise ValueError(
-                f"mult_wb_deadline must be 'first' or 'last', "
-                f"not {self.mult_wb_deadline!r}")
+                f"mult_wb_lag must be an int >= 0, not {self.mult_wb_lag!r}")
+        if not isinstance(self.addresses, (dict, type(None))) or \
+                set(self.addresses or ()) - set(DEFAULT_ADDRESS_CODES):
+            raise ValueError(f"addresses must map names of the default "
+                             f"address table to codes, not {self.addresses!r}")
+        table = self.resolved_addresses()
+        if len(set(table.values())) != len(table) or any(
+                type(c) is not int or not 0 <= c < 1 << ADDRESS_BITS
+                for c in table.values()):
+            raise ValueError(f"address codes must be distinct ints in "
+                             f"[0, {1 << ADDRESS_BITS}): {table}")
 
     def resolved_addresses(self):
         return {**DEFAULT_ADDRESS_CODES, **(self.addresses or {})}
@@ -135,6 +140,16 @@ class ScheduleError(ValueError):
     pass
 
 
+def _first_access(reg, ops):
+    """"read" or "write", whichever ops do to reg first; None if neither."""
+    for op in ops:
+        if reg in (op.src1, op.src2):
+            return "read"
+        if op.dst == reg:
+            return "write"
+    return None
+
+
 def _compute_dummies():
     """Operations whose result is overwritten before any read (per pattern).
 
@@ -142,65 +157,18 @@ def _compute_dummies():
     through both possible successor patterns: a value is live if either
     successor reads it before writing it.
     """
-    dummies = {}
-    for kind, ops in PATTERN_OPS.items():
-        dead = set()
-        for i, op in enumerate(ops):
-            reg = op.dst
-            state = None
-            for later in ops[i + 1 :]:
-                if reg in (later.src1, later.src2):
-                    state = "live"
-                    break
-                if later.dst == reg:
-                    state = "dead"
-                    break
-            if state is None:
-                live_somewhere = False
-                for succ in PATTERN_OPS.values():
-                    for later in succ:
-                        if reg in (later.src1, later.src2):
-                            live_somewhere = True
-                            break
-                        if later.dst == reg:
-                            break
-                state = "live" if live_somewhere else "dead"
-            if state == "dead":
-                dead.add(op.index)
-        dummies[kind] = frozenset(dead)
-    return dummies
+    def dead(ops, i):
+        first = _first_access(ops[i].dst, ops[i + 1:])
+        if first is None:
+            return all(_first_access(ops[i].dst, succ) != "read"
+                       for succ in PATTERNS.values())
+        return first == "write"
+
+    return {kind: frozenset(op.index for i, op in enumerate(ops) if dead(ops, i))
+            for kind, ops in PATTERNS.items()}
 
 
 DUMMY_OPS = _compute_dummies()
-
-
-def _internal_reuse_slots():
-    """Operand positions served from the add/sub unit's own result register.
-
-    A position qualifies when its value was produced by the immediately
-    preceding add/sub operation of the same pattern instance (the result is
-    still sitting in the unit's output register, so no bus fetch happens).
-    """
-    slots = {}
-    for kind, ops in PATTERN_OPS.items():
-        marks = set()
-        last_addsub = {}  # register -> op index of the last add/sub writing it
-        prev_addsub_index = None
-        for op in ops:
-            if op.kind in ("add", "sub"):
-                for pos, src in ((1, op.src1), (2, op.src2)):
-                    if src in last_addsub and last_addsub[src] == prev_addsub_index:
-                        marks.add((op.index, pos))
-            if op.kind in ("add", "sub"):
-                last_addsub = {op.dst: op.index}
-                prev_addsub_index = op.index
-            elif op.dst in last_addsub:
-                del last_addsub[op.dst]
-        slots[kind] = frozenset(marks)
-    return slots
-
-
-INTERNAL_SLOTS = _internal_reuse_slots()
 
 
 class _PatternState:
@@ -226,14 +194,13 @@ class _Scheduler:
         self.addsub_spans = []     # (instance, op_index, f1, f2, comp)
         self.copy_cycles = []      # (instance, op_index, cycle)
         self.last_addsub_comp = 0
-        self.last_addsub_op = None  # (instance, op_index)
         self.barrier = 0           # latest first-partial-product cycle so far
         self.window_starts = []    # pp_first of each instance's first multiplication
 
     # -- write-back helpers -------------------------------------------------
 
     def _wb_min(self, kind, block, pend):
-        lag = self.t.mult_wb_lag if block == MULT else self.t.addsub_wb_lag
+        lag = self.t.mult_wb_lag if block == MULT else 0
         war = self.ps[kind].last_read[pend["dst"]] + 1
         return max(pend["latch"] + lag, war)
 
@@ -251,8 +218,7 @@ class _Scheduler:
         dsts = (pend["dst"], forward_to) if forward_to else (pend["dst"],)
         role = "writeback+load" if forward_to else "writeback"
         st.bus[w] = Transaction(block, dsts, pend["op_index"], role)
-        st.ready[pend["dst"]] = (w + self.t.readable_lag, pend["instance"])
-        return w
+        st.ready[pend["dst"]] = (w + READABLE_LAG, pend["instance"])
 
     def _flush_pending(self, kind, block, deadline):
         st = self.ps[kind]
@@ -277,8 +243,6 @@ class _Scheduler:
         """
         st = self.ps[kind]
         src = op.src1 if pos == 1 else op.src2
-        if (op.index, pos) in INTERNAL_SLOTS[kind] and self.t.internal_reuse:
-            return {"type": "internal"}
         if prev_plan and prev_plan["type"] == "read" and prev_plan["src"] == src:
             # same source again: the register keeps driving the bus and the
             # second port latches silently, with no new addressing
@@ -300,7 +264,7 @@ class _Scheduler:
                 # produced by a block committed earlier in this plan
                 block = next(b for b in commits if st.pending[b]["dst"] == src)
                 w, _ = commits[block]
-                if fetch_cycle < w + self.t.readable_lag or busy:
+                if fetch_cycle < w + READABLE_LAG or busy:
                     return None
                 return {"type": "read", "src": src, "cycle": fetch_cycle}
             ready_cycle, ready_inst = st.ready[src]
@@ -313,17 +277,13 @@ class _Scheduler:
             return {"type": "read", "src": src, "cycle": fetch_cycle}
         pend = st.pending[producer_block]
         w = self._find_wb_slot(kind, producer_block, pend,
-                               fetch_cycle - self.t.readable_lag, blocked=taken)
+                               fetch_cycle - READABLE_LAG, blocked=taken)
         if w is not None and not busy:
             return {"type": "read", "src": src, "cycle": fetch_cycle,
                     "commit": (producer_block, w, False)}
-        if receiver == MULT:
-            forward_ok = self.t.mult_port_forward
-        else:
-            # add/sub ports may latch a multiplier product in flight when
-            # enabled for that operand position; never from the unit itself
-            forward_ok = (bool(self.t.addsub_port_forward & pos)
-                          and producer_block == MULT)
+        # the multiplier's ports may latch any result in flight; the add/sub
+        # unit's first port only a product, never the unit's own result
+        forward_ok = receiver == MULT or (pos == 1 and producer_block == MULT)
         if forward_ok and self.t.overlap:
             # the receiving port latches the value during its write-back
             if fetch_cycle >= self._wb_min(kind, producer_block, pend) \
@@ -332,38 +292,32 @@ class _Scheduler:
                         "commit": (producer_block, fetch_cycle, True)}
         return None
 
-    def _plan_kind(self, kind, instance, op, f1, receiver, order):
+    def _plan_kind(self, kind, instance, op, f1, receiver):
         dummy = op.index in DUMMY_OPS[kind]
         taken = set()
         commits = {}
         ops_plan = []
         prev = None
-        for slot, pos in enumerate(order):
-            fc = f1 + slot
-            p = self._operand_plan(kind, instance, op, pos, fc, receiver,
-                                   taken, commits, dummy, prev_plan=prev)
+        for pos in (1, 2):
+            p = self._operand_plan(kind, instance, op, pos, f1 + pos - 1,
+                                   receiver, taken, commits, dummy,
+                                   prev_plan=prev)
             if p is None:
                 return None
-            if p["type"] != "internal":
-                taken.add(p["cycle"])
+            taken.add(p["cycle"])
             if "commit" in p:
                 block, w, mc = p["commit"]
                 taken.add(w)
                 commits[block] = (w, mc)
-            ops_plan.append((slot + 1, p))
+            ops_plan.append((pos, p))
             prev = p
         return ops_plan
 
-    def _plan_fetches(self, instance, op_d, op_a, f1, receiver, allow_swap):
-        """Feasibility of fetching both operands at (f1, f1+1) in both patterns.
-
-        The multiplier's ports may load in either operand order (the product
-        is commutative), independently per pattern."""
+    def _plan_fetches(self, instance, op_d, op_a, f1, receiver):
+        """Feasibility of fetching both operands at (f1, f1+1) in both patterns."""
         plans = {}
         for kind, op in (("D", op_d), ("A", op_a)):
-            plan = self._plan_kind(kind, instance, op, f1, receiver, (1, 2))
-            if plan is None and allow_swap and self.t.mult_operand_swap:
-                plan = self._plan_kind(kind, instance, op, f1, receiver, (2, 1))
+            plan = self._plan_kind(kind, instance, op, f1, receiver)
             if plan is None:
                 return None
             plans[kind] = plan
@@ -375,8 +329,6 @@ class _Scheduler:
             op = op_by_kind[kind]
             dummy = op.index in DUMMY_OPS[kind]
             for pos, p in ops_plan:
-                if p["type"] == "internal":
-                    continue
                 if "commit" in p:
                     block, w, mc = p["commit"]
                     self._commit_wb(kind, block, w,
@@ -398,32 +350,23 @@ class _Scheduler:
     # -- op scheduling -------------------------------------------------------
 
     def _schedule_mult(self, instance, op_d, op_a):
-        t = self.t
         prev_pp_last = self.prev_pp_last
         if prev_pp_last is None:
             lo = 1
-            min_pp_first = 3
+        elif self.t.overlap:
+            lo = prev_pp_last - 1      # within the last two partial products
         else:
-            min_pp_first = prev_pp_last + 1
-            if t.overlap:
-                lo = prev_pp_last - 1      # within the last two partial products
-            else:
-                lo = prev_pp_last + 2      # only after the output cycle
-        lo = max(lo, 1, min_pp_first - 2)
+            lo = prev_pp_last + 2      # only after the output cycle
         for f1 in range(lo, lo + 4000):
-            if f1 + 2 < min_pp_first:
-                continue
-            plans = self._plan_fetches(instance, op_d, op_a, f1, MULT, True)
+            plans = self._plan_fetches(instance, op_d, op_a, f1, MULT)
             if plans is None:
                 continue
             self._apply_fetches(plans, MULT, {"D": op_d, "A": op_a})
             pp_first = f1 + 2
             pp_last = pp_first + self.pp_count - 1
             # the previous product must have left its output register
-            if prev_pp_last is not None:
-                deadline = pp_first if t.mult_wb_deadline == "first" else pp_last
-                for kind in KINDS:
-                    self._flush_pending(kind, MULT, deadline)
+            for kind in KINDS:
+                self._flush_pending(kind, MULT, pp_last)
             for kind, op in (("D", op_d), ("A", op_a)):
                 self.ps[kind].pending[MULT] = {
                     "op_index": op.index, "instance": instance,
@@ -438,13 +381,12 @@ class _Scheduler:
         raise ScheduleError(f"no slot for multiplication op {op_d.index}")
 
     def _schedule_addsub(self, instance, op_d, op_a):
-        # a pipelined unit may take its next first operand while storing
-        gap = 0 if (self.t.addsub_pipelined and self.t.overlap) else 1
-        lo = self.last_addsub_comp + gap
-        if self.t.seq_barrier:
-            lo = max(lo, self.barrier + 1)
-        for f1 in range(max(lo, 1), max(lo, 1) + 4000):
-            plans = self._plan_fetches(instance, op_d, op_a, f1, ADDSUB, False)
+        # the unit may take its next first operand while storing, and like
+        # every non-multiplier op issues only after earlier products started
+        gap = 0 if self.t.overlap else 1
+        lo = max(self.last_addsub_comp + gap, self.barrier + 1)
+        for f1 in range(lo, lo + 4000):
+            plans = self._plan_fetches(instance, op_d, op_a, f1, ADDSUB)
             if plans is None:
                 continue
             self._apply_fetches(plans, ADDSUB, {"D": op_d, "A": op_a})
@@ -462,9 +404,7 @@ class _Scheduler:
         raise ScheduleError(f"no slot for add/sub op {op_d.index}")
 
     def _schedule_copy(self, instance, op_d, op_a):
-        lo = 1
-        if self.t.seq_barrier:
-            lo = max(lo, self.barrier + 1)
+        lo = self.barrier + 1
         for c in range(lo, lo + 4000):
             ok = True
             for kind, op in (("D", op_d), ("A", op_a)):
@@ -482,7 +422,7 @@ class _Scheduler:
                 st = self.ps[kind]
                 st.bus[c] = Transaction(op.src1, (op.dst,), op.index, "copy")
                 st.last_read[op.src1] = max(st.last_read[op.src1], c)
-                st.ready[op.dst] = (c + self.t.readable_lag, instance)
+                st.ready[op.dst] = (c + READABLE_LAG, instance)
             self.copy_cycles.append((instance, op_d.index, c))
             return
         raise ScheduleError(f"no slot for copy op {op_d.index}")

@@ -151,9 +151,19 @@ def test_partial_address_override(tmp_path):
 
 @pytest.mark.parametrize("section, bad", [
     ("timing", {"mul_plan": "toom"}),
-    ("timing", {"mult_wb_deadline": "pp5"}),
-    ("timing", {"mult_wb_lag": 3, "mult_wb_deadline": "first"}),  # unschedulable
+    ("timing", {"mult_wb_deadline": "pp5"}),  # not a timing option
+    ("timing", {"mult_wb_lag": 9}),  # unschedulable
     ("leakage", {"base_levels": {"mult:pp3": 1.0}}),
+    ("timing", {"addresses": {"X1": "a"}}),
+    ("timing", {"addresses": {"FOO": 3}}),
+    ("timing", {"addresses": {"X1": 3, "X2": 3}}),
+    ("timing", {"addresses": {"X1": 64}}),  # wider than the address lines
+    ("timing", {"addresses": [1, 2]}),
+    ("timing", {"mult_wb_lag": 1.5}),
+    ("timing", {"mult_wb_lag": -4}),
+    ("timing", {"overlap": "no"}),
+    ("timing", 5),
+    ("leakage", 5),
 ])
 def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     cfg = tmp_path / "cfg.json"
@@ -173,3 +183,22 @@ def test_sidecar_missing_key_is_io_error(tmp_path, capsys):
     assert main(["attack", "--trace", str(out / "trace.bin"),
                  "--out-dir", str(out / "report")]) == EXIT_IO
     assert "cycles_per_pattern" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("dtype", lambda meta: "zz"),
+    ("ground_truth", lambda meta: 5),
+    ("ground_truth", lambda meta: "A" + meta["ground_truth"][1:]),  # grammar
+    ("ground_truth", lambda meta: meta["ground_truth"][:-1]),  # one short
+], ids=["dtype", "truth-type", "truth-grammar", "truth-length"])
+def test_bad_sidecar_is_io_error(tmp_path, capsys, key, edit):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    meta = json.loads((out / "trace.json").read_text())
+    meta[key] = edit(meta)
+    (out / "trace.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_IO
+    assert key in capsys.readouterr().err

@@ -138,11 +138,11 @@ def test_addresses_unique():
 def test_unschedulable_configuration_raises():
     # a slow write-back path cannot drain results before the next product
     with pytest.raises(ScheduleError):
-        build_schedules(Timing(mult_wb_lag=3, mult_wb_deadline="first"))
+        build_schedules(Timing(mult_wb_lag=9))
 
 
 @pytest.mark.parametrize("bad", [{"mul_plan": "toom"},
-                                 {"mult_wb_deadline": "pp9"}])
+                                 {"mult_wb_lag": -1}])
 def test_bad_timing_values_raise(bad):
     with pytest.raises(ValueError):
         Timing(**bad)
@@ -170,49 +170,66 @@ def test_multiplier_plan_sets_pattern_length(plan, cycles, diff, pp):
 def test_schedule_dataflow_matches_repeated_doubling():
     """Bus-level replay of a doubling-only stream reproduces 2^n * G.
 
-    Checked for both multiplier plans; the classical plan stretches every
-    product from 9 to 16 partial-product cycles.
+    Checked over the whole timing grid: both multiplier plans, overlap on
+    and off, and multiplier write-back lags 0..10.  Every config either
+    raises ScheduleError or gives identical D/A block states, at most one
+    register receiver per cycle, and a correct replay.
 
     Operand values are captured at the scheduled load cycles and results
     are published at the scheduled write-back cycles.  A fetch placed before
     its producer's write-back would capture a stale value and corrupt the
     final point, so this exercises the schedule's dependency handling,
     including port-forwarded loads and the silent repeat-fetch latches.
-    The register file is checked at the head of the last window, where the
-    previous instance's spill-over work has just completed (the final
-    instance's own tail would need one more window to drain).
     """
     for plan in ("karatsuba4", "classical"):
-        _replay_doublings(plan)
+        for overlap in (True, False):
+            for lag in range(11):
+                timing = Timing(mul_plan=plan, overlap=overlap,
+                                mult_wb_lag=lag)
+                try:
+                    d, a = build_schedules(timing)
+                except ScheduleError:
+                    continue
+                assert [e.mult_state for e in d.events] == \
+                    [e.mult_state for e in a.events], timing
+                assert [e.addsub_state for e in d.events] == \
+                    [e.addsub_state for e in a.events], timing
+                for ev in d.events + a.events:
+                    regs = [r for r in ev.dst_names if r in REGISTER_NAMES]
+                    assert len(regs) <= 1, (timing, ev)
+                _replay_doublings(timing)
 
 
-def _replay_doublings(plan):
+def _replay_doublings(timing):
     curve = get_curve("P-256")
     g = AffinePoint(curve.gx, curve.gy)
     f = curve.field
     instances = 5
-    sch = _Scheduler(Timing(mul_plan=plan)).run(instances)
+    sch = _Scheduler(timing).run(instances)
+    bus = sch.ps["D"].bus
     ops = {op.index: op for op in DOUBLE_PATTERN}
 
     # per-instance fetch slots: where each op captures its two operands
-    slots = {}
-    for inst, idx, f1, f2, _pp_first, _pp_last in sch.mult_spans:
-        slots[(inst, idx)] = (f1, f2)
-    for inst, idx, f1, f2, comp in sch.addsub_spans:
-        slots[(inst, idx)] = (f1, f2)
-    fetch_owner = {c: key for key, pair in slots.items() for c in pair}
+    fetch_owner = {}
+    for inst, idx, f1, f2, *_ in sch.mult_spans + sch.addsub_spans:
+        fetch_owner[f1] = fetch_owner[f2] = (inst, idx)
 
-    # write-back owner: the instance whose fetch anchor is nearest
-    anchors = {}
-    for (inst, idx), (f1, _f2) in slots.items():
-        anchors.setdefault(idx, []).append((f1, inst))
-    for inst, idx, c in sch.copy_cycles:
-        anchors.setdefault(idx, []).append((c, inst))
+    # a block holds one pending result, so each op's write-backs land in
+    # instance order: the k-th write-back of op i belongs to instance k
+    wb_owner = {}
+    drained = {}
+    landed = {(inst, idx): c for inst, idx, c in sch.copy_cycles}
+    for cyc in sorted(bus):
+        idx = bus[cyc].op_index
+        if bus[cyc].role.startswith("writeback"):
+            key = (drained.get(idx, 0), idx)
+            drained[idx] = key[0] + 1
+            wb_owner[cyc] = key
+            landed[key] = cyc
+    # the register file holds 2^(n+1) * G once every op of instance n landed
+    last = instances - 2
+    cutoff = max(landed[(last, op.index)] for op in DOUBLE_PATTERN)
 
-    def owner(idx, cyc):
-        return min(anchors[idx], key=lambda ai: abs(ai[0] - cyc))[1]
-
-    cutoff = sch.window_starts[-1] + 8
     regs = fresh_registers(curve, g)
     captured = {}
     snapshot = None
@@ -226,17 +243,17 @@ def _replay_doublings(plan):
             return f.add(a, b)
         return f.sub(a, b)
 
-    for cyc in sorted(sch.ps["D"].bus):
+    for cyc in sorted(bus):
         if snapshot is None and cyc > cutoff:
             snapshot = dict(regs)
-        tx = sch.ps["D"].bus[cyc]
+        tx = bus[cyc]
         op = ops[tx.op_index]
         if tx.role == "copy":
             regs[op.dst] = regs[tx.src]
             continue
-        if tx.role.startswith("writeback"):
-            key = (owner(tx.op_index, cyc), tx.op_index)
-            assert len(captured[key]) == 2, f"{plan} {key} incomplete operands"
+        if cyc in wb_owner:
+            key = wb_owner[cyc]
+            assert len(captured[key]) == 2, f"{timing} {key} incomplete operands"
             value = result_of(key)
             regs[op.dst] = value
             bus_value = value
@@ -247,4 +264,4 @@ def _replay_doublings(plan):
 
     got = to_affine(snapshot, curve)
     want = reference_k_mul(1 << (instances - 1), g, curve)
-    assert (got.x, got.y) == (want.x, want.y), plan
+    assert (got.x, got.y) == (want.x, want.y), timing
