@@ -52,6 +52,8 @@ def load_config(path):
             raise IOError(f"cannot read config: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
+        if not isinstance(user, dict):
+            raise ConfigError(f"config must be a JSON object, not {user!r:.40}")
         for key, val in user.items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(val)
@@ -69,10 +71,13 @@ def resolve_curve(cfg):
 
 def resolve_scalar(cfg, curve):
     spec = cfg["scalar"]
+    if isinstance(spec, dict) and "hex" in spec:
+        spec = spec["hex"]
     if isinstance(spec, str):
         k = ScalarK.from_string(spec)
-    elif "hex" in spec:
-        k = ScalarK.from_string(spec["hex"])
+    elif not isinstance(spec, dict):
+        raise ConfigError(f"scalar must be a string or a JSON object, "
+                          f"not {spec!r}")
     else:
         bits = int(spec.get("bits", 256))
         ones = int(spec.get("ones_below_msb", 145))

@@ -8,15 +8,18 @@ previous one, and Gaussian noise.  The address lines hold their value across
 idle cycles, and the state carries over pattern boundaries, so the final
 write-back of one pattern leaks into the first cycle of the next window.
 
-Noise is drawn from a counter-based generator keyed by (seed, pattern
-index), which makes the trace a pure function of its inputs no matter how
-many workers simulate patterns concurrently.
+Noise is float32 standard normals scaled by sigma, drawn in place into
+each pattern's slice of the trace from a Philox generator keyed by
+(seed, pattern index).  This makes the trace a pure function of its inputs
+no matter how many workers simulate patterns concurrently.
 """
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,13 +49,25 @@ class LeakageParams:
     base_levels: dict = None    # overrides for DEFAULT_BASE_LEVELS entries
 
     def __post_init__(self):
-        if self.samples_per_cycle < 1:
-            raise ValueError("samples_per_cycle must be >= 1")
+        if not _is_int(self.samples_per_cycle) or self.samples_per_cycle < 1:
+            raise ValueError(f"samples_per_cycle must be an int >= 1, "
+                             f"not {self.samples_per_cycle!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64), "
+                             f"not {self.seed!r}")
+        _check_real("alpha", self.alpha)
+        _check_real("sigma", self.sigma)
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        unknown = set(self.base_levels or ()) - set(DEFAULT_BASE_LEVELS)
-        if unknown:
-            raise ValueError(f"unknown base levels: {sorted(unknown)}")
+        if self.base_levels is not None:
+            if not isinstance(self.base_levels, dict):
+                raise ValueError(f"base_levels must be a dict, "
+                                 f"not {self.base_levels!r}")
+            unknown = set(self.base_levels) - set(DEFAULT_BASE_LEVELS)
+            if unknown:
+                raise ValueError(f"unknown base levels: {sorted(unknown)}")
+            for name, level in self.base_levels.items():
+                _check_real(f"base level {name}", level)
 
     def levels(self):
         lv = dict(DEFAULT_BASE_LEVELS)
@@ -67,6 +82,15 @@ class LeakageParams:
             "base_levels": sorted((self.levels()).items()),
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _is_int(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _check_real(name, v):
+    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, not {v!r}")
 
 
 @dataclass
@@ -134,29 +158,35 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
     if d_sched.cycle_count != a_sched.cycle_count:
         raise ValueError("schedules disagree on the pattern length")
 
-    spp = d_sched.cycle_count * params.samples_per_cycle
+    spc = params.samples_per_cycle
+    spp = d_sched.cycle_count * spc
     sched = {"D": d_sched, "A": a_sched}
     lines = {k: sched[k].line_states() for k in sched}
     base = {k: _base_vector(sched[k], params) for k in sched}
-    # deterministic per-(previous kind, kind) leak vectors; only the first
-    # cycle depends on the previous window
-    leak = {}
+    # deterministic window per (previous kind, kind); only the first cycle
+    # depends on the previous window
+    window = {}
     for pk in ("D", "A"):
         for k in ("D", "A"):
-            leak[(pk, k)] = params.alpha * _transition_leak(
-                lines[k], lines[pk][-1])
+            leak = params.alpha * _transition_leak(lines[k], lines[pk][-1])
+            window[(pk, k)] = (base[k] + np.repeat(leak, spc)).astype(
+                TRACE_DTYPE)
 
     total = np.empty(spp * len(seq), dtype=TRACE_DTYPE)
+    sigma = np.float32(params.sigma)
 
     def render(i):
         k = seq[i]
         # the first window starts from the line state its own kind leaves
         pk = seq[i - 1] if i > 0 else seq[0]
-        vec = base[k] + np.repeat(leak[(pk, k)], params.samples_per_cycle)
+        out = total[i * spp : (i + 1) * spp]
         if params.sigma > 0:
-            vec = vec + _pattern_rng(params.seed, i).normal(
-                0.0, params.sigma, spp)
-        total[i * spp : (i + 1) * spp] = vec
+            _pattern_rng(params.seed, i).standard_normal(
+                dtype=np.float32, out=out)
+            out *= sigma
+            out += window[(pk, k)]
+        else:
+            out[:] = window[(pk, k)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -182,7 +212,7 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
 def write_trace(trace, trace_path, meta_path):
     """Raw little-endian float32 samples plus a JSON sidecar."""
     with open(trace_path, "wb") as f:
-        f.write(np.ascontiguousarray(trace.samples, dtype=TRACE_DTYPE).tobytes())
+        np.ascontiguousarray(trace.samples, dtype=TRACE_DTYPE).tofile(f)
     with open(meta_path, "w") as f:
         json.dump(trace.meta, f, indent=1, sort_keys=True)
         f.write("\n")

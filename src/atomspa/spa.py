@@ -11,7 +11,6 @@ resolves the label polarity through the double-and-add grammar (no addition
 without a preceding doubling) and reads bits off the pattern sequence.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,30 +122,31 @@ def recover_scalar(da_sequence):
 def _blind_recovery(labels):
     """Pick the most supported grammar-consistent candidate sequence.
 
-    Constant-label candidates carry no information and are skipped.  Returns
-    (bits, support, sample_index) or (None, 0, -1).
+    Constant-label candidates carry no information and are skipped.  A
+    column is read as-is (True = addition) when its row 0 is False and no
+    two adjacent rows are both True, or flipped when its row 0 is True and
+    no two adjacent rows are both False; the two rules cannot both hold.
+    Returns (bits, support, sample_index) or (None, 0, -1).
     """
-    rows, cols = labels.shape
-    a = labels
-    b = ~labels
-    viol_a = a[0].astype(np.int64) + (a[1:] & a[:-1]).sum(axis=0)
-    viol_b = b[0].astype(np.int64) + (b[1:] & b[:-1]).sum(axis=0)
-    ones_a = a.sum(axis=0)
-    ones_b = rows - ones_a
-    nonconst = (ones_a > 0) & (ones_a < rows)
-    groups = {}
-    for j in np.nonzero(nonconst)[0]:
-        for viol, seq_col in ((int(viol_a[j]), a[:, j]),
-                              (int(viol_b[j]), b[:, j])):
-            if viol == 0:
-                key = seq_col.tobytes()
-                entry = groups.setdefault(key, [0, int(j), seq_col])
-                entry[0] += 1
-    if not groups:
+    first = labels[0]
+    nonconst = labels.any(axis=0) & ~labels.all(axis=0)
+    ok_a = nonconst & ~first & ~(labels[1:] & labels[:-1]).any(axis=0)
+    ok_b = nonconst & first & (labels[1:] | labels[:-1]).all(axis=0)
+    cols = np.flatnonzero(ok_a | ok_b)
+    if cols.size == 0:
         return None, 0, -1
-    support, j, col = max(groups.values(), key=lambda e: (e[0], -e[1]))
-    seq = "".join("A" if x else "D" for x in col)
-    return recover_scalar(seq), support, j
+    seqs = labels[:, cols] ^ ok_b[cols]
+    support, first_pos = {}, {}
+    for pos, key in enumerate(np.packbits(seqs, axis=0).T):
+        key = key.tobytes()
+        support[key] = support.get(key, 0) + 1
+        first_pos.setdefault(key, pos)
+    # dicts keep first-appearance order and max keeps the first of equal
+    # items, so a tie in support goes to the lowest sample index
+    best = max(support, key=support.get)
+    pos = first_pos[best]
+    seq = "".join("A" if x else "D" for x in seqs[:, pos])
+    return recover_scalar(seq), support[best], int(cols[pos])
 
 
 def run_attack(trace):
@@ -196,14 +196,13 @@ def write_report(report, out_dir, stem="attack"):
     with open(txt, "w") as f:
         f.write("\n".join(report.summary_lines()) + "\n")
     csv_path = os.path.join(out_dir, f"{stem}_correctness.csv")
+    spc = report.samples_per_pattern // report.per_cycle_max.size
+    rows = zip(report.correctness_curve.tolist(),
+               report.folded_curve.tolist())
     with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample", "clock_cycle", "correctness_pct", "folded_pct"])
-        spc = report.samples_per_pattern // report.per_cycle_max.size
-        for j in range(report.samples_per_pattern):
-            w.writerow([j, j // spc + 1,
-                        f"{report.correctness_curve[j]:.4f}",
-                        f"{report.folded_curve[j]:.4f}"])
+        f.write("sample,clock_cycle,correctness_pct,folded_pct\r\n")
+        f.write("".join(f"{j},{j // spc + 1},{c:.4f},{d:.4f}\r\n"
+                        for j, (c, d) in enumerate(rows)))
     svg_path = os.path.join(out_dir, f"{stem}_correctness.svg")
     with open(svg_path, "w") as f:
         f.write(correctness_svg(report))

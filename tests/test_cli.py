@@ -164,10 +164,30 @@ def test_partial_address_override(tmp_path):
     ("timing", {"overlap": "no"}),
     ("timing", 5),
     ("leakage", 5),
+    ("leakage", {"samples_per_cycle": 1.5}),
+    ("leakage", {"samples_per_cycle": True}),
+    ("leakage", {"seed": -1}),
+    ("leakage", {"seed": 2**64}),
+    ("leakage", {"alpha": "x"}),
+    ("leakage", {"alpha": False}),
+    ("leakage", {"sigma": float("nan")}),
+    ("leakage", {"sigma": float("inf")}),
+    ("leakage", {"base_levels": {"mult:pp": "hi"}}),
+    ("leakage", {"base_levels": ["mult:pp"]}),
+    ("scalar", 5),
+    ("scalar", {"hex": 27}),
 ])
 def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: bad}))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", '"0x1b"', "null"])
+def test_config_must_be_an_object(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
     assert main(["simulate", "--config", str(cfg),
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 

@@ -1,8 +1,13 @@
 """Trace synthesis: base profiles, transition leakage, determinism, I/O."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from atomspa.field import get_curve
+from atomspa.atoms import AffinePoint, k_mul, scalar_for_pattern_counts
 from atomspa.sched import addressing_diff, build_schedules, mult_block_state
 from atomspa.leakage import (DEFAULT_BASE_LEVELS, LeakageParams, Trace,
                              read_trace, simulate_trace, write_trace)
@@ -146,6 +151,39 @@ def test_boundary_leak_crosses_patterns():
     assert np.array_equal(after_d[SPC:], after_a[SPC:])
 
 
+def test_first_window_starts_from_its_own_kinds_line_state():
+    # no window precedes the first one, so its first cycle is measured
+    # against the line state a doubling (seq[0]) leaves: it equals a
+    # doubling that follows a doubling
+    w = windows(params())
+    assert np.array_equal(w[0], w[1])
+
+
+def test_noise_is_float32_normal_scaled_by_sigma():
+    seq = ("D", "A", "D", "D", "A", "D", "A", "D")
+    sigma = 0.3
+    clean = simulate_trace(seq, D, A, params())
+    noisy = simulate_trace(seq, D, A, params(sigma=sigma, seed=11))
+    assert noisy.samples.dtype == np.float32
+    noise = noisy.samples.astype(np.float64) - clean.samples
+    n = noise.size
+    # 6 standard errors of each estimate: a false failure is ~1e-9
+    assert abs(noise.mean()) < 6 * sigma / math.sqrt(n)
+    assert abs(noise.std() / sigma - 1) < 6 / math.sqrt(2 * n)
+
+
+def test_reference_trace_at_zero_noise_is_pinned():
+    # the deterministic part (base levels, leak, window order) of the
+    # reference scenario: 400 patterns, 300 samples per cycle
+    curve = get_curve("P-256")
+    k = scalar_for_pattern_counts(256, 145, curve, seed=1)
+    _, seq = k_mul(k, AffinePoint(curve.gx, curve.gy), curve)
+    t = simulate_trace(seq, D, A, params(samples_per_cycle=300))
+    assert t.samples.size == 400 * 109 * 300
+    assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
+        "a48bfdafc5944b759621926c4ba876b42c87879e13b14aff77e533b07e795db4")
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LeakageParams(samples_per_cycle=0)
@@ -153,6 +191,15 @@ def test_params_validation():
         LeakageParams(sigma=-1)
     with pytest.raises(ValueError):
         LeakageParams(base_levels={"mult:pp3": 1.0})
+    for bad in ({"samples_per_cycle": 1.5}, {"samples_per_cycle": True},
+                {"seed": -1}, {"seed": 2**64}, {"seed": 1.0},
+                {"alpha": "x"}, {"alpha": True}, {"alpha": math.inf},
+                {"sigma": math.nan}, {"base_levels": ["mult:pp"]},
+                {"base_levels": {"mult:pp": "hi"}},
+                {"base_levels": {"mult:pp": math.nan}}):
+        with pytest.raises(ValueError):
+            LeakageParams(**bad)
+    assert LeakageParams(seed=2**64 - 1, alpha=0, sigma=1).seed == 2**64 - 1
     assert LeakageParams(base_levels={"mult:pp": 2.0}).levels()["mult:pp"] == 2.0
 
 

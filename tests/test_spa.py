@@ -1,10 +1,13 @@
 """Attack pipeline: segmentation, threshold, classification, recovery."""
 
+import csv
+import io
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomspa.field import get_curve
 from atomspa.atoms import AffinePoint, ScalarK, k_mul
@@ -120,6 +123,46 @@ def test_blind_recovery_prefers_grammar():
     assert _blind_recovery(const) == (None, 0, -1)
 
 
+def _reference_blind_recovery(labels):
+    """One column at a time: both polarities against the grammar, grouped
+    by sequence; highest support wins, then the lowest column."""
+    groups = {}
+    for j in range(labels.shape[1]):
+        column = labels[:, j]
+        if column.all() or not column.any():
+            continue
+        for cand in (column, ~column):
+            seq = "".join("A" if x else "D" for x in cand)
+            if seq[0] == "D" and "AA" not in seq:
+                support, first = groups.get(seq, (0, j))
+                groups[seq] = (support + 1, first)
+    if not groups:
+        return None, 0, -1
+    seq, (support, first) = max(groups.items(),
+                                key=lambda g: (g[1][0], -g[1][1]))
+    return recover_scalar(seq), support, first
+
+
+@st.composite
+def label_matrices(draw):
+    # a few distinct columns, repeated and flipped at random, plus
+    # constant ones, so that groups, ties and both polarities all occur
+    rows = draw(st.integers(1, 9))
+    column = st.lists(st.booleans(), min_size=rows, max_size=rows)
+    pool = draw(st.lists(st.one_of(column, st.sampled_from(
+        [[False] * rows, [True] * rows])), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.booleans()), min_size=1, max_size=12))
+    return np.array([[x ^ flip for x in pool[i]] for i, flip in picks],
+                    dtype=bool).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_matrices())
+def test_blind_recovery_matches_per_column_reference(labels):
+    assert _blind_recovery(labels) == _reference_blind_recovery(labels)
+
+
 def test_recover_scalar_cases():
     assert recover_scalar("DADDA") == (1, 1, 0, 1)
     assert recover_scalar("DD") == (1, 0, 0)
@@ -211,3 +254,12 @@ def test_report_files(tmp_path):
         assert (tmp_path / p.split("/")[-1]).exists()
     svg = (tmp_path / "attack_correctness.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    # the CSV is byte-identical to a csv.writer rendering of the report
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(["sample", "clock_cycle", "correctness_pct", "folded_pct"])
+    for j in range(rep.samples_per_pattern):
+        w.writerow([j, j // SPC + 1, f"{rep.correctness_curve[j]:.4f}",
+                    f"{rep.folded_curve[j]:.4f}"])
+    got = (tmp_path / "attack_correctness.csv").read_bytes()
+    assert got == want.getvalue().encode()
