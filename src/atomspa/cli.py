@@ -63,6 +63,8 @@ def load_config(path):
 
 
 def resolve_curve(cfg):
+    if not isinstance(cfg["curve"], str):
+        raise ConfigError(f"curve must be a name, not {cfg['curve']!r}")
     try:
         return get_curve(cfg["curve"])
     except ValueError as e:
@@ -79,15 +81,19 @@ def resolve_scalar(cfg, curve):
         raise ConfigError(f"scalar must be a string or a JSON object, "
                           f"not {spec!r}")
     else:
-        bits = int(spec.get("bits", 256))
-        ones = int(spec.get("ones_below_msb", 145))
+        bits = spec.get("bits", 256)
+        ones = spec.get("ones_below_msb", 145)
+        seed = spec.get("pick_seed", 1)
+        for name, v in (("bits", bits), ("ones_below_msb", ones),
+                        ("pick_seed", seed)):
+            if type(v) is not int:
+                raise ConfigError(f"scalar {name} must be an int, not {v!r}")
         if ones > bits - 1 or bits < 2:
             raise ConfigError(
                 f"unsatisfiable scalar constraints: {ones} ones in "
                 f"{bits - 1} free positions")
         try:
-            k = scalar_for_pattern_counts(bits, ones, curve,
-                                          seed=spec.get("pick_seed", 1))
+            k = scalar_for_pattern_counts(bits, ones, curve, seed=seed)
         except ValueError as e:
             raise ConfigError(str(e)) from e
     if not (1 <= k.value < curve.n):
@@ -136,6 +142,13 @@ def resolve_leakage(cfg, seed_override=None):
         raise ConfigError(f"bad leakage parameters: {e}") from e
 
 
+def resolve_workers(cfg):
+    workers = cfg.get("workers", 1)
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"workers must be an int >= 1, not {workers!r}")
+    return workers
+
+
 def cmd_simulate(args):
     cfg = load_config(args.config)
     curve = resolve_curve(cfg)
@@ -143,11 +156,11 @@ def cmd_simulate(args):
     point = resolve_point(cfg, curve)
     timing = resolve_timing(cfg)
     params = resolve_leakage(cfg, args.seed)
+    workers = resolve_workers(cfg)
 
     d, a = build_schedules(timing)
     _result, seq = k_mul(k, point, curve)
-    trace = simulate_trace(seq, d, a, params,
-                           workers=int(cfg.get("workers", 1)))
+    trace = simulate_trace(seq, d, a, params, workers=workers)
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.bin")

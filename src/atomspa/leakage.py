@@ -8,10 +8,13 @@ previous one, and Gaussian noise.  The address lines hold their value across
 idle cycles, and the state carries over pattern boundaries, so the final
 write-back of one pattern leaks into the first cycle of the next window.
 
-Noise is float32 standard normals scaled by sigma, drawn in place into
-each pattern's slice of the trace from a Philox generator keyed by
-(seed, pattern index).  This makes the trace a pure function of its inputs
-no matter how many workers simulate patterns concurrently.
+Noise is N(0, sigma^2), drawn for each pattern by the Box-Muller transform
+from float32 uniforms of a Philox generator keyed by (seed, pattern index),
+and written in place into that pattern's slice of the trace.  This makes
+the trace a pure function of its inputs no matter how many workers
+simulate patterns concurrently.  The float32 uniforms are multiples of
+2**-24, so |noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail
+mass of about 8e-9.
 """
 
 import hashlib
@@ -173,20 +176,37 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
                 TRACE_DTYPE)
 
     total = np.empty(spp * len(seq), dtype=TRACE_DTYPE)
+    # Box-Muller: each (radius, angle) pair gives one cosine and one sine
+    # sample, so h pairs cover a window of spp (possibly odd) samples
+    h = (spp + 1) // 2
     sigma = np.float32(params.sigma)
+    two_pi = np.float32(2.0 * math.pi)
 
     def render(i):
         k = seq[i]
         # the first window starts from the line state its own kind leaves
         pk = seq[i - 1] if i > 0 else seq[0]
+        w = window[(pk, k)]
         out = total[i * spp : (i + 1) * spp]
         if params.sigma > 0:
-            _pattern_rng(params.seed, i).standard_normal(
-                dtype=np.float32, out=out)
-            out *= sigma
-            out += window[(pk, k)]
+            # a fresh buffer per call keeps concurrent renders independent
+            u = _pattern_rng(params.seed, i).random(2 * h, dtype=np.float32)
+            r, theta = u[:h], u[h:]
+            np.subtract(1, r, out=r)  # in (0, 1], so log never sees 0
+            np.log(r, out=r)
+            r *= np.float32(-2)
+            np.sqrt(r, out=r)
+            r *= sigma  # after the root, so sigma**2 cannot overflow
+            theta *= two_pi
+            lo, hi = out[:h], out[h:]
+            np.cos(theta, out=lo)
+            lo *= r
+            lo += w[:h]
+            np.sin(theta[: spp - h], out=hi)
+            hi *= r[: spp - h]
+            hi += w[h:]
         else:
-            out[:] = window[(pk, k)]
+            out[:] = w
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

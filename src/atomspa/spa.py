@@ -136,17 +136,16 @@ def _blind_recovery(labels):
     if cols.size == 0:
         return None, 0, -1
     seqs = labels[:, cols] ^ ok_b[cols]
-    support, first_pos = {}, {}
-    for pos, key in enumerate(np.packbits(seqs, axis=0).T):
-        key = key.tobytes()
-        support[key] = support.get(key, 0) + 1
-        first_pos.setdefault(key, pos)
-    # dicts keep first-appearance order and max keeps the first of equal
-    # items, so a tie in support goes to the lowest sample index
-    best = max(support, key=support.get)
-    pos = first_pos[best]
+    # one opaque bytes key per column, so np.unique groups equal sequences
+    packed = np.ascontiguousarray(np.packbits(seqs, axis=0).T)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    # highest support wins, and a tie goes to the lowest sample index (not
+    # to the group whose bytes sort first)
+    best = np.lexsort((first, -counts))[0]
+    pos = first[best]
     seq = "".join("A" if x else "D" for x in seqs[:, pos])
-    return recover_scalar(seq), support[best], int(cols[pos])
+    return recover_scalar(seq), int(counts[best]), int(cols[pos])
 
 
 def run_attack(trace):
@@ -197,11 +196,17 @@ def write_report(report, out_dir, stem="attack"):
         f.write("\n".join(report.summary_lines()) + "\n")
     csv_path = os.path.join(out_dir, f"{stem}_correctness.csv")
     spc = report.samples_per_pattern // report.per_cycle_max.size
-    rows = zip(report.correctness_curve.tolist(),
-               report.folded_curve.tolist())
+    # a curve takes at most pattern_count + 1 distinct values (all NaN
+    # without ground truth), so each is formatted once
+    n = report.correctness_curve.size
+    values, idx = np.unique(
+        np.concatenate([report.correctness_curve, report.folded_curve]),
+        return_inverse=True)
+    text = [f"{v:.4f}" for v in values.tolist()]
+    rows = zip(idx[:n].tolist(), idx[n:].tolist())
     with open(csv_path, "w", newline="") as f:
         f.write("sample,clock_cycle,correctness_pct,folded_pct\r\n")
-        f.write("".join(f"{j},{j // spc + 1},{c:.4f},{d:.4f}\r\n"
+        f.write("".join(f"{j},{j // spc + 1},{text[c]},{text[d]}\r\n"
                         for j, (c, d) in enumerate(rows)))
     svg_path = os.path.join(out_dir, f"{stem}_correctness.svg")
     with open(svg_path, "w") as f:

@@ -176,6 +176,17 @@ def test_partial_address_override(tmp_path):
     ("leakage", {"base_levels": ["mult:pp"]}),
     ("scalar", 5),
     ("scalar", {"hex": 27}),
+    ("workers", [1]),
+    ("scalar", {"bits": [1]}),
+    ("scalar", {"pick_seed": [1]}),
+    ("curve", 5),
+    ("curve", [1]),
+    ("workers", 1.5),
+    ("workers", "2"),
+    ("workers", True),
+    ("workers", 0),
+    ("scalar", {"pick_seed": 1.5}),
+    ("scalar", {"ones_below_msb": True}),
 ])
 def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     cfg = tmp_path / "cfg.json"

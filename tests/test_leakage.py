@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from atomspa.field import get_curve
 from atomspa.atoms import AffinePoint, k_mul, scalar_for_pattern_counts
@@ -104,11 +105,14 @@ def test_different_seeds_differ():
 
 
 def test_worker_count_does_not_change_samples():
-    p = params(sigma=0.2, seed=5)
     seq = tuple("DADDDA"[i] for i in [0, 1, 2, 3, 4, 5]) * 3
-    t1 = simulate_trace(seq, D, A, p, workers=1)
-    t3 = simulate_trace(seq, D, A, p, workers=3)
-    assert np.array_equal(t1.samples, t3.samples)
+    # samples_per_cycle 1 makes a window 109 samples long: an odd count
+    # leaves one Box-Muller sine sample unused
+    for spc in (SPC, 1):
+        p = params(sigma=0.2, seed=5, samples_per_cycle=spc)
+        t1 = simulate_trace(seq, D, A, p, workers=1)
+        t3 = simulate_trace(seq, D, A, p, workers=3)
+        assert t1.samples.tobytes() == t3.samples.tobytes()
 
 
 def test_trace_length_formula():
@@ -170,6 +174,25 @@ def test_noise_is_float32_normal_scaled_by_sigma():
     # 6 standard errors of each estimate: a false failure is ~1e-9
     assert abs(noise.mean()) < 6 * sigma / math.sqrt(n)
     assert abs(noise.std() / sigma - 1) < 6 / math.sqrt(2 * n)
+
+
+def test_noise_is_standard_normal_up_to_its_cap():
+    # 31 windows of 32 700 samples: over a million noise samples at sigma 1
+    seq = ("D", "A") * 15 + ("D",)
+    clean = simulate_trace(seq, D, A, params(samples_per_cycle=300))
+    noisy = simulate_trace(seq, D, A,
+                           params(samples_per_cycle=300, sigma=1.0, seed=4))
+    noise = noisy.samples.astype(np.float64) - clean.samples
+    assert noise.size > 10**6
+    assert stats.kstest(noise, "norm").pvalue > 1e-4
+    # the two halves of a window (cosine and sine of one draw) are
+    # independent: their correlation is within 6 standard errors of 0
+    halves = noise.reshape(len(seq), 2, -1)
+    r = np.corrcoef(halves[:, 0].ravel(), halves[:, 1].ravel())[0, 1]
+    assert abs(r) < 6 / math.sqrt(halves[:, 0].size)
+    # float32 uniforms are multiples of 2**-24, so the Box-Muller radius
+    # is at most sqrt(-2 ln 2**-24) = 5.76811
+    assert np.abs(noise).max() <= 5.7682
 
 
 def test_reference_trace_at_zero_noise_is_pinned():

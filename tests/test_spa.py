@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from atomspa.field import get_curve
 from atomspa.atoms import AffinePoint, ScalarK, k_mul
@@ -123,6 +123,22 @@ def test_blind_recovery_prefers_grammar():
     assert _blind_recovery(const) == (None, 0, -1)
 
 
+# two grammar-consistent groups of equal support, DAD at columns 0 and 2
+# and DDA at columns 1 and 3; packed, DAD (0b010 -> 0x40) sorts after DDA
+# (0b001 -> 0x20), and the group at the lower column must still win
+TIED_GROUPS = np.array([[False, False, False, False],
+                        [True, False, True, False],
+                        [False, True, False, True]])
+
+
+def test_blind_recovery_tie_goes_to_lowest_column():
+    assert np.packbits(TIED_GROUPS, axis=0)[0].tolist() == [64, 32, 64, 32]
+    assert _blind_recovery(TIED_GROUPS) == (recover_scalar("DAD"), 2, 0)
+    # flipped columns join the same groups
+    assert _blind_recovery(TIED_GROUPS ^ [True, False, False, True]) == (
+        recover_scalar("DAD"), 2, 0)
+
+
 def _reference_blind_recovery(labels):
     """One column at a time: both polarities against the grammar, grouped
     by sequence; highest support wins, then the lowest column."""
@@ -159,6 +175,7 @@ def label_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(label_matrices())
+@example(TIED_GROUPS)
 def test_blind_recovery_matches_per_column_reference(labels):
     assert _blind_recovery(labels) == _reference_blind_recovery(labels)
 
@@ -244,6 +261,16 @@ def test_monotone_degradation_with_noise(tmp_path):
     assert means[0] >= means[1] >= means[2]
 
 
+def _csv_rendering(rep):
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(["sample", "clock_cycle", "correctness_pct", "folded_pct"])
+    for j in range(rep.samples_per_pattern):
+        w.writerow([j, j // SPC + 1, f"{rep.correctness_curve[j]:.4f}",
+                    f"{rep.folded_curve[j]:.4f}"])
+    return want.getvalue().encode()
+
+
 def test_report_files(tmp_path):
     from atomspa.spa import write_report
 
@@ -254,12 +281,16 @@ def test_report_files(tmp_path):
         assert (tmp_path / p.split("/")[-1]).exists()
     svg = (tmp_path / "attack_correctness.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
-    # the CSV is byte-identical to a csv.writer rendering of the report
-    want = io.StringIO(newline="")
-    w = csv.writer(want)
-    w.writerow(["sample", "clock_cycle", "correctness_pct", "folded_pct"])
-    for j in range(rep.samples_per_pattern):
-        w.writerow([j, j // SPC + 1, f"{rep.correctness_curve[j]:.4f}",
-                    f"{rep.folded_curve[j]:.4f}"])
-    got = (tmp_path / "attack_correctness.csv").read_bytes()
-    assert got == want.getvalue().encode()
+    # the CSV is byte-identical to a csv.writer rendering of the report:
+    # here (10 patterns, steps of 10%), without ground truth (all nan) and
+    # for 7 patterns, whose percentages are not multiples of 0.25
+    blind = Trace(trace.samples, {k: v for k, v in trace.meta.items()
+                                  if k != "ground_truth"})
+    seven, seq = small_trace(k=0b11011, sigma=0.3, seed=2)
+    assert len(seq) == 7
+    reports = (rep, run_attack(blind), run_attack(seven))
+    for i, r in enumerate(reports):
+        write_report(r, tmp_path / str(i))
+        got = (tmp_path / str(i) / "attack_correctness.csv").read_bytes()
+        assert got == _csv_rendering(r)
+    assert b",nan,nan\r\n" in _csv_rendering(reports[1])
