@@ -333,6 +333,9 @@ def scalar_for_pattern_counts(bit_length, ones_below_msb, curve, seed=1):
 
     if ones_below_msb > bit_length - 1:
         raise ValueError("more ones than available bit positions")
+    if bit_length > curve.n.bit_length():
+        raise ValueError(f"a {bit_length}-bit scalar cannot be below the "
+                         f"{curve.n.bit_length()}-bit group order")
     rng = random.Random(seed)
     for _ in range(10000):
         positions = rng.sample(range(bit_length - 1), ones_below_msb)

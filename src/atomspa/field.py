@@ -177,19 +177,6 @@ class Curve:
     def contains(self, x, y):
         return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
-    @classmethod
-    def from_dict(cls, d):
-        """Build a curve from hex-string (or int) parameters, e.g. a config override."""
-
-        def val(key):
-            v = d[key]
-            return int(v, 16) if isinstance(v, str) else int(v)
-
-        return cls(
-            d.get("name", "custom"),
-            val("p"), val("a"), val("b"), val("gx"), val("gy"), val("n"),
-        )
-
 
 CURVES = {
     "P-256": Curve("P-256", P256_P, P256_A, P256_B, P256_GX, P256_GY, P256_N),
@@ -199,10 +186,8 @@ CURVES = {
 }
 
 
-def get_curve(name_or_dict):
-    if isinstance(name_or_dict, str):
-        try:
-            return CURVES[name_or_dict]
-        except KeyError:
-            raise ValueError(f"unknown curve {name_or_dict!r}") from None
-    return Curve.from_dict(name_or_dict)
+def get_curve(name):
+    try:
+        return CURVES[name]
+    except KeyError:
+        raise ValueError(f"unknown curve {name!r}") from None

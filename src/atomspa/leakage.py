@@ -9,17 +9,19 @@ idle cycles, and the state carries over pattern boundaries, so the final
 write-back of one pattern leaks into the first cycle of the next window.
 
 Noise is N(0, sigma^2), drawn for each pattern by the Box-Muller transform
-from float32 uniforms of a Philox generator keyed by (seed, pattern index),
-and written in place into that pattern's slice of the trace.  This makes
-the trace a pure function of its inputs no matter how many workers
-simulate patterns concurrently.  The float32 uniforms are multiples of
-2**-24, so |noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail
-mass of about 8e-9.
+and written in place into that pattern's slice of the trace.  Its uniforms
+are (w >> 8) * 2**-24 in float32, for the 32-bit halves w of the raw words
+of an SFC64 generator seeded by SeedSequence([seed, pattern index]).  This
+makes the trace a pure function of its inputs no matter how many workers
+simulate patterns concurrently.  The uniforms are multiples of 2**-24, so
+|noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of
+about 8e-9.
 """
 
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -29,6 +31,7 @@ import numpy as np
 from atomspa.sched import mult_block_state
 
 TRACE_DTYPE = "<f4"
+NOISE_CAP = 5.7682      # bound on |noise| / sigma, see the module docstring
 META_COUNTS = ("samples_per_cycle", "cycles_per_pattern", "pattern_count")
 
 # flat per-sample levels for each activity state; the red/light-red/white
@@ -131,11 +134,6 @@ def _base_vector(schedule, params):
     return out
 
 
-def _pattern_rng(seed, index):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
 def check_grammar(seq):
     """Raise ValueError unless seq is a non-empty run of 'D'/'A' patterns
     that follows the double-and-add grammar: it starts with a doubling and
@@ -151,10 +149,21 @@ def check_grammar(seq):
         prev = k
 
 
+def _check_memory(samples):
+    """Refuse a trace that cannot fit in this machine's physical memory."""
+    need = samples * np.dtype(TRACE_DTYPE).itemsize
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"a trace of {samples:,} samples needs {need:,} "
+                         f"bytes, more than the {have:,} bytes of memory")
+
+
 def simulate_trace(seq, d_sched, a_sched, params, workers=1):
     """Concatenate per-pattern simulations with address carry-over.
 
     seq is the executed pattern sequence ('D'/'A' strings); see check_grammar.
+    Raises ValueError for a trace larger than physical memory or for
+    samples beyond the float32 range.
     """
     seq = tuple(seq)
     check_grammar(seq)
@@ -163,17 +172,28 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
 
     spc = params.samples_per_cycle
     spp = d_sched.cycle_count * spc
+    _check_memory(spp * len(seq))
     sched = {"D": d_sched, "A": a_sched}
     lines = {k: sched[k].line_states() for k in sched}
     base = {k: _base_vector(sched[k], params) for k in sched}
     # deterministic window per (previous kind, kind); only the first cycle
     # depends on the previous window
     window = {}
-    for pk in ("D", "A"):
-        for k in ("D", "A"):
-            leak = params.alpha * _transition_leak(lines[k], lines[pk][-1])
-            window[(pk, k)] = (base[k] + np.repeat(leak, spc)).astype(
-                TRACE_DTYPE)
+    # an overflow to inf is reported by the check below, not as a warning
+    with np.errstate(over="ignore"):
+        for pk in ("D", "A"):
+            for k in ("D", "A"):
+                leak = params.alpha * _transition_leak(lines[k],
+                                                       lines[pk][-1])
+                window[(pk, k)] = (base[k] + np.repeat(leak, spc)).astype(
+                    TRACE_DTYPE)
+    # every sample lies within NOISE_CAP * sigma of its window
+    peak = (max(float(np.abs(w).max()) for w in window.values())
+            + NOISE_CAP * params.sigma)
+    if not peak <= float(np.finfo(TRACE_DTYPE).max):
+        raise ValueError(f"samples would reach {peak:.4g}, beyond the "
+                         f"float32 range; lower alpha, sigma or the base "
+                         f"levels")
 
     total = np.empty(spp * len(seq), dtype=TRACE_DTYPE)
     # Box-Muller: each (radius, angle) pair gives one cosine and one sine
@@ -189,8 +209,13 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
         w = window[(pk, k)]
         out = total[i * spp : (i + 1) * spp]
         if params.sigma > 0:
-            # a fresh buffer per call keeps concurrent renders independent
-            u = _pattern_rng(params.seed, i).random(2 * h, dtype=np.float32)
+            # a fresh generator and buffer per call keep concurrent renders
+            # independent
+            bits = np.random.SFC64(np.random.SeedSequence([params.seed, i]))
+            words = bits.random_raw(h).view(np.uint32)
+            words >>= 8
+            u = words.astype(np.float32)
+            u *= np.float32(2.0**-24)  # uniforms in [0, 1), 24 bits each
             r, theta = u[:h], u[h:]
             np.subtract(1, r, out=r)  # in (0, 1], so log never sees 0
             np.log(r, out=r)

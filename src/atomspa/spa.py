@@ -76,12 +76,34 @@ def mean_pattern(matrix):
 
 
 def classify_matrix(matrix, threshold):
-    """Boolean labels: strictly above the threshold; ties are False."""
+    """Labels packed along the pattern axis: strictly above the threshold;
+    ties are False.
+
+    Returns a (ceil(pattern_count / 8), samples_per_pattern) uint8 array in
+    np.packbits bit order (row r is bit 7 - r % 8 of byte r // 8) with zero
+    padding, built one row at a time so the boolean matrix never exists.
+    """
     m = np.asarray(matrix)
     thr = np.asarray(threshold)
     if thr.shape != (m.shape[1],):
         raise ValueError("threshold length does not match the matrix")
-    return m > thr
+    if m.dtype == np.float32:
+        # a float32 x lies above t exactly when it lies above the largest
+        # float32 at or below t, and comparing in float32 casts nothing
+        down = thr.astype(np.float32)
+        thr = np.where(down > thr, np.nextafter(down, np.float32(-np.inf)),
+                       down)
+    packed = np.zeros(((m.shape[0] + 7) // 8, m.shape[1]), dtype=np.uint8)
+    above = np.empty(m.shape[1], dtype=bool)
+    for r, row in enumerate(m):
+        np.greater(row, thr, out=above)
+        # shift the byte's earlier rows up one bit and put this row last
+        byte = packed[r // 8]
+        byte += byte
+        byte |= above.view(np.uint8)
+    # rows of a partial last byte still sit at its low end
+    packed[-1] <<= -m.shape[0] % 8
+    return packed
 
 
 def _truth_array(truth):
@@ -89,12 +111,15 @@ def _truth_array(truth):
 
 
 def correctness_curve(labels, truth):
-    """Vectorized as-is correctness for every candidate (label True = 'A')."""
+    """As-is correctness for every candidate, from packed labels (see
+    classify_matrix; label True = 'A').  Packed labels only show their
+    pattern count to the byte, so that is what the length check sees."""
     t = _truth_array(truth)
-    if labels.shape[0] != t.size:
+    if labels.shape[0] != (t.size + 7) // 8:
         raise ValueError("labels and ground truth differ in length")
-    matches = (labels == t[:, None]).sum(axis=0)
-    return 100.0 * matches / t.size
+    wrong = np.bitwise_count(labels ^ np.packbits(t)[:, None]).sum(
+        axis=0, dtype=np.int64)
+    return 100.0 * (t.size - wrong) / t.size
 
 
 def recover_scalar(da_sequence):
@@ -119,39 +144,60 @@ def recover_scalar(da_sequence):
     return tuple(bits)
 
 
-def _blind_recovery(labels):
+def _first_bits(n, nbytes):
+    """Packed mask, nbytes long, of the first n rows of a label column."""
+    return np.packbits(np.arange(8 * nbytes) < n)
+
+
+def _blind_recovery(labels, n):
     """Pick the most supported grammar-consistent candidate sequence.
 
-    Constant-label candidates carry no information and are skipped.  A
-    column is read as-is (True = addition) when its row 0 is False and no
-    two adjacent rows are both True, or flipped when its row 0 is True and
-    no two adjacent rows are both False; the two rules cannot both hold.
+    labels holds n packed rows (see classify_matrix).  Constant-label
+    candidates carry no information and are skipped.  A column is read
+    as-is (True = addition) when its row 0 is False and no two adjacent
+    rows are both True, or flipped when its row 0 is True and no two
+    adjacent rows are both False; the two rules cannot both hold.
     Returns (bits, support, sample_index) or (None, 0, -1).
     """
-    first = labels[0]
-    nonconst = labels.any(axis=0) & ~labels.all(axis=0)
-    ok_a = nonconst & ~first & ~(labels[1:] & labels[:-1]).any(axis=0)
-    ok_b = nonconst & first & (labels[1:] | labels[:-1]).all(axis=0)
+    valid = _first_bits(n, labels.shape[0])[:, None]
+    # row r + 1 moved into row r's bit: shift left by one and carry the
+    # top bit of the next byte; the padding after row n - 1 reads as False
+    nxt = labels << 1
+    nxt[:-1] |= labels[1:] >> 7
+    first = (labels[0] >> 7).astype(bool)
+    nonconst = labels.any(axis=0) & (labels != valid).any(axis=0)
+    ok_a = nonconst & ~first & ~(labels & nxt).any(axis=0)
+    # adjacent pairs (r, r + 1) exist for rows 0 .. n - 2 only
+    pairs = _first_bits(n - 1, labels.shape[0])[:, None]
+    ok_b = nonconst & first & ~(~(labels | nxt) & pairs).any(axis=0)
     cols = np.flatnonzero(ok_a | ok_b)
     if cols.size == 0:
         return None, 0, -1
-    seqs = labels[:, cols] ^ ok_b[cols]
+    seqs = labels[:, cols] ^ (valid * ok_b[cols])
     # one opaque bytes key per column, so np.unique groups equal sequences
-    packed = np.ascontiguousarray(np.packbits(seqs, axis=0).T)
+    packed = np.ascontiguousarray(seqs.T)
     keys = packed.view(f"V{packed.shape[1]}").ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     # highest support wins, and a tie goes to the lowest sample index (not
     # to the group whose bytes sort first)
     best = np.lexsort((first, -counts))[0]
     pos = first[best]
-    seq = "".join("A" if x else "D" for x in seqs[:, pos])
+    seq = "".join("A" if x else "D"
+                  for x in np.unpackbits(packed[pos], count=n))
     return recover_scalar(seq), int(counts[best]), int(cols[pos])
 
 
 def run_attack(trace):
     """Full pipeline: segment, mean threshold, classify, evaluate, recover."""
     matrix = segment(trace)
-    labels = classify_matrix(matrix, mean_pattern(matrix))
+    threshold = mean_pattern(matrix)
+    # finite float32 samples cannot overflow a float64 column sum, so the
+    # mean is finite exactly when every sample is
+    bad = ~np.isfinite(threshold)
+    if bad.any():
+        raise IOError(f"trace has non-finite samples at {int(bad.sum())} "
+                      f"sample offsets")
+    labels = classify_matrix(matrix, threshold)
 
     truth = trace.meta.get("ground_truth")
     if truth is not None:
@@ -159,11 +205,11 @@ def run_attack(trace):
         folded = np.maximum(curve, 100.0 - curve)
         perfect = int((folded >= 100.0).sum())
     else:
-        curve = np.full(labels.shape[1], np.nan)
+        curve = np.full(matrix.shape[1], np.nan)
         folded = curve
         perfect = 0
 
-    bits, support, best_j = _blind_recovery(labels)
+    bits, support, best_j = _blind_recovery(labels, matrix.shape[0])
 
     spc = trace.meta["samples_per_cycle"]
     cycles = trace.meta["cycles_per_pattern"]

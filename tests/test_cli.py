@@ -1,6 +1,7 @@
 """Command-line workflows: simulate, attack, diagram, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,47 @@ def test_unsatisfiable_scalar_constraint(tmp_path, capsys):
     cfg.write_text(json.dumps({"scalar": {"bits": 8, "ones_below_msb": 9}}))
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+def test_scalar_wider_than_the_order_fails_at_once(tmp_path, capsys):
+    # no 2000-bit scalar lies below P-256's 256-bit order, so no random
+    # search is tried
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scalar": {"bits": 2000, "ones_below_msb": 5}}))
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 0.5
+    assert "256-bit group order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("leak, message", [
+    ({"alpha": 1e308}, "beyond the float32 range"),
+    ({"sigma": 1e38}, "beyond the float32 range"),
+    ({"base_levels": {"mult:pp": 3.5e38}}, "beyond the float32 range"),
+    # 28 patterns of 109 cycles: 4 bytes for each of 3.052e15 samples
+    ({"samples_per_cycle": 10**12}, "needs 12,208,000,000,000,000 bytes"),
+], ids=["alpha", "sigma", "base-level", "samples_per_cycle"])
+def test_impossible_trace_is_config_error(tmp_path, capsys, leak, message):
+    cfg = small_config(tmp_path, **leak)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trace.bin").exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_samples_are_io_error(tmp_path, capsys, value):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    samples = np.fromfile(out / "trace.bin", dtype="<f4")
+    samples[1000] = value
+    samples.tofile(out / "trace.bin")
+    capsys.readouterr()
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_IO
+    assert "non-finite samples" in capsys.readouterr().err
 
 
 def test_bad_curve_and_bad_json(tmp_path):

@@ -207,6 +207,28 @@ def test_reference_trace_at_zero_noise_is_pinned():
         "a48bfdafc5944b759621926c4ba876b42c87879e13b14aff77e533b07e795db4")
 
 
+def test_small_noisy_trace_is_pinned():
+    # the noise bits: a change of generator, seeding or uniform mapping
+    # shows up here
+    seq = ("D", "A", "D", "D", "A", "D", "A")
+    t = simulate_trace(seq, D, A, params(sigma=0.3, seed=3,
+                                         samples_per_cycle=1))
+    assert t.samples.size == 7 * 109
+    assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
+        "1b167e6eb52c744ff74a283547358fa9b07c68613dc1aa914e39adc2a48852e8")
+
+
+def test_samples_not_finite_in_float32_rejected():
+    seq = ("D", "A")
+    for bad in ({"alpha": 1e308}, {"alpha": 1e38}, {"sigma": 1e38},
+                {"base_levels": {"addsub:idle": -3.5e38}}):
+        with pytest.raises(ValueError, match="beyond the float32 range"):
+            simulate_trace(seq, D, A, params(**bad))
+    # the largest safe values still simulate
+    assert np.isfinite(simulate_trace(seq, D, A,
+                                      params(sigma=1e37)).samples).all()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LeakageParams(samples_per_cycle=0)

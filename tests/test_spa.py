@@ -20,6 +20,11 @@ D, A = build_schedules()
 SPC = 12
 
 
+def pack(labels):
+    """Pack a bool (patterns, candidates) matrix as classify_matrix does."""
+    return np.packbits(labels, axis=0)
+
+
 def small_trace(k=0b1101101, sigma=0.0, alpha=1.0, seed=0):
     curve = get_curve("P-256")
     g = AffinePoint(curve.gx, curve.gy)
@@ -67,13 +72,28 @@ def test_mean_pattern_against_exact_sums():
 def test_classify_tie_rule_and_count():
     m = np.array([[2.0, 5.0], [2.0, 1.0], [2.0, 3.0]])
     thr = mean_pattern(m)
-    labels = classify_matrix(m, thr)
-    # one candidate (column) per sample offset, one label per window
-    assert labels.shape == m.shape and labels.dtype == bool
+    packed = classify_matrix(m, thr)
+    # one candidate (column) per sample offset, one bit per window
+    assert packed.shape == (1, 2) and packed.dtype == np.uint8
+    labels = np.unpackbits(packed, axis=0, count=3)
     assert not labels[:, 0].any()  # constant column: ties are False
     assert labels[:, 1].tolist() == [True, False, False]
+    assert packed[0].tolist() == [0, 0b10000000]  # zero padding
     with pytest.raises(ValueError):
         classify_matrix(m, thr[:1])
+
+
+def test_classify_float32_samples_against_float64_thresholds():
+    # thresholds on, just above and just below float32 samples, where a
+    # comparison in float32 could round the wrong way
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((13, 600)).astype(np.float32)
+    near = m[rng.integers(0, 13, 600), np.arange(600)].astype(np.float64)
+    tiny = np.abs(near) * 2.0**-40
+    thr = near + np.repeat([0.0, 1.0, -1.0], 200) * tiny
+    want = m.astype(np.float64) > thr
+    assert 0 < want.sum() < want.size
+    assert np.array_equal(classify_matrix(m, thr), pack(want))
 
 
 def _exact_pct(column, truth):
@@ -85,19 +105,21 @@ def _exact_pct(column, truth):
 def test_correctness_trivial_cases():
     truth = ("D", "A", "D", "A")
     labels = np.array([[False], [True], [False], [True]])  # True means addition
-    assert correctness_curve(labels, truth)[0] == 100.0
-    assert correctness_curve(~labels, truth)[0] == 0.0
+    assert correctness_curve(pack(labels), truth)[0] == 100.0
+    assert correctness_curve(pack(~labels), truth)[0] == 0.0
     assert _exact_pct(labels[:, 0], truth) == 100.0
     assert _exact_pct(~labels[:, 0], truth) == 0.0
+    # packed labels of 9 patterns take two bytes, and 4 patterns one
     with pytest.raises(ValueError):
-        correctness_curve(labels[:3], truth)
+        correctness_curve(pack(np.ones((9, 1), dtype=bool)), truth)
 
 
 def test_correctness_complementarity():
     rng = np.random.default_rng(4)
     truth = tuple(rng.choice(list("DA")) for _ in range(57))
     labels = rng.random((57, 9)) < 0.5
-    total = correctness_curve(labels, truth) + correctness_curve(~labels, truth)
+    total = (correctness_curve(pack(labels), truth)
+             + correctness_curve(pack(~labels), truth))
     assert np.allclose(total, 100.0)
 
 
@@ -106,7 +128,7 @@ def test_correctness_curve_matches_scalar_version():
     rng = np.random.default_rng(5)
     truth = tuple(rng.choice(list("DA")) for _ in range(40))
     labels = rng.random((40, 23)) < 0.5
-    curve = correctness_curve(labels, truth)
+    curve = correctness_curve(pack(labels), truth)
     for j in range(23):
         assert curve[j] == pytest.approx(_exact_pct(labels[:, j], truth))
 
@@ -115,12 +137,12 @@ def test_blind_recovery_prefers_grammar():
     # DAD decodes with zero violations one way, two the other, so both
     # polarities of the column recover the same sequence
     for column in ([False, True, False], [True, False, True]):
-        bits, support, j = _blind_recovery(np.array(column)[:, None])
+        bits, support, j = _blind_recovery(pack(np.array(column)[:, None]), 3)
         assert (bits, support, j) == (recover_scalar("DAD"), 1, 0)
     # constant columns carry no information and are skipped
     const = np.zeros((6, 2), dtype=bool)
     const[:, 1] = True
-    assert _blind_recovery(const) == (None, 0, -1)
+    assert _blind_recovery(pack(const), 6) == (None, 0, -1)
 
 
 # two grammar-consistent groups of equal support, DAD at columns 0 and 2
@@ -133,10 +155,11 @@ TIED_GROUPS = np.array([[False, False, False, False],
 
 def test_blind_recovery_tie_goes_to_lowest_column():
     assert np.packbits(TIED_GROUPS, axis=0)[0].tolist() == [64, 32, 64, 32]
-    assert _blind_recovery(TIED_GROUPS) == (recover_scalar("DAD"), 2, 0)
-    # flipped columns join the same groups
-    assert _blind_recovery(TIED_GROUPS ^ [True, False, False, True]) == (
+    assert _blind_recovery(pack(TIED_GROUPS), 3) == (
         recover_scalar("DAD"), 2, 0)
+    # flipped columns join the same groups
+    flipped = TIED_GROUPS ^ [True, False, False, True]
+    assert _blind_recovery(pack(flipped), 3) == (recover_scalar("DAD"), 2, 0)
 
 
 def _reference_blind_recovery(labels):
@@ -162,8 +185,9 @@ def _reference_blind_recovery(labels):
 @st.composite
 def label_matrices(draw):
     # a few distinct columns, repeated and flipped at random, plus
-    # constant ones, so that groups, ties and both polarities all occur
-    rows = draw(st.integers(1, 9))
+    # constant ones, so that groups, ties and both polarities all occur;
+    # most row counts leave padding bits in the last packed byte
+    rows = draw(st.integers(1, 40))
     column = st.lists(st.booleans(), min_size=rows, max_size=rows)
     pool = draw(st.lists(st.one_of(column, st.sampled_from(
         [[False] * rows, [True] * rows])), min_size=1, max_size=4))
@@ -173,11 +197,23 @@ def label_matrices(draw):
                     dtype=bool).T
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(label_matrices())
 @example(TIED_GROUPS)
 def test_blind_recovery_matches_per_column_reference(labels):
-    assert _blind_recovery(labels) == _reference_blind_recovery(labels)
+    assert (_blind_recovery(pack(labels), labels.shape[0])
+            == _reference_blind_recovery(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_matrices(), st.data())
+def test_packed_labels_match_bool_references(labels, data):
+    n, cols = labels.shape
+    packed = classify_matrix(labels.astype(np.float32), np.full(cols, 0.5))
+    assert packed.tobytes() == pack(labels).tobytes()
+    truth = data.draw(st.text("DA", min_size=n, max_size=n))
+    assert correctness_curve(packed, truth).tolist() == [
+        _exact_pct(labels[:, j], truth) for j in range(cols)]
 
 
 def test_recover_scalar_cases():
@@ -208,8 +244,9 @@ def _violations(is_add):
 def test_perfect_candidate_soundness():
     trace, seq = small_trace()
     m = segment(trace)
-    labels = classify_matrix(m, mean_pattern(m))
-    curve = correctness_curve(labels, seq)
+    packed = classify_matrix(m, mean_pattern(m))
+    curve = correctness_curve(packed, seq)
+    labels = np.unpackbits(packed, axis=0, count=len(seq)).astype(bool)
     folded = np.maximum(curve, 100 - curve)
     perfect = np.nonzero(folded >= 100.0)[0]
     assert perfect.size > 0
