@@ -9,7 +9,8 @@ from scipy import stats
 
 from atomspa.field import get_curve
 from atomspa.atoms import AffinePoint, k_mul, scalar_for_pattern_counts
-from atomspa.sched import addressing_diff, build_schedules, mult_block_state
+from atomspa.sched import (Timing, addressing_diff, build_schedules,
+                           mult_block_state)
 from atomspa.leakage import (DEFAULT_BASE_LEVELS, LeakageParams, Trace,
                              read_trace, simulate_trace, write_trace)
 
@@ -205,6 +206,15 @@ def test_reference_trace_at_zero_noise_is_pinned():
     assert t.samples.size == 400 * 109 * 300
     assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
         "a48bfdafc5944b759621926c4ba876b42c87879e13b14aff77e533b07e795db4")
+
+
+def test_trace_with_an_address_override_is_pinned():
+    # the address table reaches the samples: X1 moved to code 5
+    d, a = build_schedules(Timing(addresses={"X1": 5}))
+    t = simulate_trace(("D", "D", "A", "D", "A", "D", "D"), d, a,
+                       params(samples_per_cycle=1))
+    assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
+        "d8439ab2794d31db3ccaf2fbee98079eb0b010c7fe24ea2b4c89b1a48b6fd76e")
 
 
 def test_small_noisy_trace_is_pinned():

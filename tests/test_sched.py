@@ -1,5 +1,8 @@
 """Cycle schedule: atomicity, timing, addressing differences, dataflow."""
 
+import hashlib
+import time
+
 import pytest
 
 from atomspa.field import get_curve
@@ -139,6 +142,40 @@ def test_unschedulable_configuration_raises():
     # a slow write-back path cannot drain results before the next product
     with pytest.raises(ScheduleError):
         build_schedules(Timing(mult_wb_lag=9))
+
+
+def test_schedules_of_the_timing_grid_are_pinned():
+    # every config of mul_plan x overlap x mult_wb_lag 0..19: the events
+    # and op cycles of both patterns, or the error of an unschedulable one
+    h = hashlib.sha256()
+    built = 0
+    for plan in ("karatsuba4", "classical"):
+        for overlap in (True, False):
+            for lag in range(20):
+                try:
+                    scheds = build_schedules(Timing(
+                        mul_plan=plan, overlap=overlap, mult_wb_lag=lag))
+                except ScheduleError as e:
+                    h.update(repr(str(e)).encode())
+                    continue
+                built += 1
+                for s in scheds:
+                    for ev in s.events:
+                        h.update(repr((ev.cycle, ev.src_name, ev.dst_names,
+                                       ev.mult_state, ev.addsub_state,
+                                       ev.reg_store)).encode())
+                    h.update(repr(sorted(s.op_cycles.items())).encode())
+    assert built == 56
+    assert h.hexdigest() == (
+        "64e6af3d6997ce43f034d91b9167d278e64c27493aba7987b886ec871170bf14")
+
+
+def test_unbounded_write_back_lag_runs_out_of_slots():
+    # the lo + 4000 bound of the slot searches is what ends them here
+    t0 = time.perf_counter()
+    with pytest.raises(ScheduleError, match="no slot"):
+        build_schedules(Timing(mult_wb_lag=4000))
+    assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("bad", [{"mul_plan": "toom"},
