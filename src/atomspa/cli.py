@@ -54,6 +54,13 @@ def load_config(path):
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError(f"config must be a JSON object, not {user!r:.40}")
+        # before the merge, which would hide a misspelt key behind a default
+        unknown = sorted(set(user) - set(DEFAULT_CONFIG))
+        if isinstance(user.get("scalar"), dict):
+            unknown += [f"scalar.{k}" for k in sorted(
+                set(user["scalar"]) - {"hex", *DEFAULT_CONFIG["scalar"]})]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
         for key, val in user.items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(val)
@@ -81,19 +88,19 @@ def resolve_scalar(cfg, curve):
         raise ConfigError(f"scalar must be a string or a JSON object, "
                           f"not {spec!r}")
     else:
-        bits = spec.get("bits", 256)
-        ones = spec.get("ones_below_msb", 145)
-        seed = spec.get("pick_seed", 1)
-        for name, v in (("bits", bits), ("ones_below_msb", ones),
-                        ("pick_seed", seed)):
-            if type(v) is not int:
-                raise ConfigError(f"scalar {name} must be an int, not {v!r}")
+        # the merge with DEFAULT_CONFIG filled in every missing field
+        for name in DEFAULT_CONFIG["scalar"]:
+            if type(spec[name]) is not int:
+                raise ConfigError(f"scalar {name} must be an int, "
+                                  f"not {spec[name]!r}")
+        bits, ones = spec["bits"], spec["ones_below_msb"]
         if ones > bits - 1 or bits < 2:
             raise ConfigError(
                 f"unsatisfiable scalar constraints: {ones} ones in "
                 f"{bits - 1} free positions")
         try:
-            k = scalar_for_pattern_counts(bits, ones, curve, seed=seed)
+            k = scalar_for_pattern_counts(bits, ones, curve,
+                                          seed=spec["pick_seed"])
         except ValueError as e:
             raise ConfigError(str(e)) from e
     if not (1 <= k.value < curve.n):
@@ -106,8 +113,10 @@ def resolve_point(cfg, curve):
     if spec == "generator":
         return AffinePoint(curve.gx, curve.gy)
     try:
-        x = int(spec["x"], 16) if isinstance(spec["x"], str) else spec["x"]
-        y = int(spec["y"], 16) if isinstance(spec["y"], str) else spec["y"]
+        x, y = (int(v, 16) if isinstance(v, str) else v
+                for v in (spec["x"], spec["y"]))
+        if type(x) is not int or type(y) is not int:
+            raise ValueError("coordinates must be ints or hex strings")
         return AffinePoint(x, y).validate(curve)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad base point: {e}") from e
@@ -122,6 +131,8 @@ def _section(cfg, name):
 
 def resolve_timing(cfg):
     spec = _section(cfg, "timing")
+    if "addresses" in spec:
+        raise ConfigError("timing.addresses has moved to leakage.addresses")
     known = {f.name for f in fields(Timing)}
     bad = set(spec) - known
     if bad:

@@ -14,7 +14,6 @@ from atomspa.sched import mult_block_state
 MULT_COLORS = {
     "load1": "#9fd49f", "load2": "#9fd49f", "pp": "#e05545",
     "out": "#f6b0a0", "wait_first": "#fbd9d0", "wait": "#ffffff",
-    "idle": "#ffffff",
 }
 
 ADDSUB_COLORS = {"add": "#6f8fd8", "sub": "#c77bc9"}

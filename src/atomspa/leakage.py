@@ -28,11 +28,34 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from atomspa.sched import mult_block_state
+from atomspa.sched import ADDSUB, MULT, mult_block_state
 
 TRACE_DTYPE = "<f4"
 NOISE_CAP = 5.7682      # bound on |noise| / sigma, see the module docstring
 META_COUNTS = ("samples_per_cycle", "cycles_per_pattern", "pattern_count")
+ADDRESS_BITS = 6
+
+# Default address codes, ADDRESS_BITS wide.  The attack separates the two
+# patterns by the Hamming distance between consecutive bus addresses, so the
+# code assignment decides which schedule differences are visible at all; this
+# table makes every differing cycle of the default schedule distinguishable
+# at zero noise and keeps the window boundary separable regardless of the
+# preceding pattern.  Override any entry through LeakageParams.addresses.
+DEFAULT_ADDRESS_CODES = {
+    "X1": 0b100111,
+    "X2": 0b110000,
+    "X3": 0b010011,
+    "Z1": 0b000011,
+    "Z2": 0b001110,
+    "R0": 0b000111,
+    "R1": 0b101110,
+    "R2": 0b101010,
+    "R3": 0b001011,
+    "QX": 0b010001,
+    "QY": 0b001111,
+    MULT: 0b111100,
+    ADDSUB: 0b111000,
+}
 
 # flat per-sample levels for each activity state; the red/light-red/white
 # distinction of the multiplier shows up as high/medium/low plateaus, and
@@ -40,7 +63,6 @@ META_COUNTS = ("samples_per_cycle", "cycles_per_pattern", "pattern_count")
 DEFAULT_BASE_LEVELS = {
     "mult:load1": 0.55, "mult:load2": 0.60, "mult:pp": 1.00,
     "mult:out": 0.80, "mult:wait_first": 0.45, "mult:wait": 0.25,
-    "mult:idle": 0.10,
     "addsub:load1": 0.30, "addsub:load2": 0.32, "addsub:store": 0.38,
     "addsub:idle": 0.05,
 }
@@ -53,6 +75,7 @@ class LeakageParams:
     samples_per_cycle: int = 300
     seed: int = 0
     base_levels: dict = None    # overrides for DEFAULT_BASE_LEVELS entries
+    addresses: dict = None      # overrides for DEFAULT_ADDRESS_CODES entries
 
     def __post_init__(self):
         if not _is_int(self.samples_per_cycle) or self.samples_per_cycle < 1:
@@ -74,6 +97,16 @@ class LeakageParams:
                 raise ValueError(f"unknown base levels: {sorted(unknown)}")
             for name, level in self.base_levels.items():
                 _check_real(f"base level {name}", level)
+        if not isinstance(self.addresses, (dict, type(None))) or \
+                set(self.addresses or ()) - set(DEFAULT_ADDRESS_CODES):
+            raise ValueError(f"addresses must map names of the default "
+                             f"address table to codes, not {self.addresses!r}")
+        table = self.address_table()
+        if len(set(table.values())) != len(table) or any(
+                type(c) is not int or not 0 <= c < 1 << ADDRESS_BITS
+                for c in table.values()):
+            raise ValueError(f"address codes must be distinct ints in "
+                             f"[0, {1 << ADDRESS_BITS}): {table}")
 
     def levels(self):
         lv = dict(DEFAULT_BASE_LEVELS)
@@ -81,11 +114,15 @@ class LeakageParams:
             lv.update(self.base_levels)
         return lv
 
+    def address_table(self):
+        return {**DEFAULT_ADDRESS_CODES, **(self.addresses or {})}
+
     def digest(self):
         blob = json.dumps({
             "alpha": self.alpha, "sigma": self.sigma,
             "samples_per_cycle": self.samples_per_cycle, "seed": self.seed,
             "base_levels": sorted((self.levels()).items()),
+            "addresses": sorted(self.address_table().items()),
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -111,6 +148,18 @@ class Trace:
 
 def _hamming(a, b):
     return bin(a ^ b).count("1")
+
+
+def _line_states(schedule, table):
+    """(src, dst) address-line state per cycle with hold-on-idle."""
+    out = []
+    src = dst = 0
+    for ev in schedule.events:
+        if ev.src_name is not None:
+            src = table[ev.src_name]
+            dst = table[ev.dst_names[0]] if ev.dst_names else dst
+        out.append((src, dst))
+    return out
 
 
 def _transition_leak(states, prev_state):
@@ -174,7 +223,8 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
     spp = d_sched.cycle_count * spc
     _check_memory(spp * len(seq))
     sched = {"D": d_sched, "A": a_sched}
-    lines = {k: sched[k].line_states() for k in sched}
+    table = params.address_table()
+    lines = {k: _line_states(sched[k], table) for k in sched}
     base = {k: _base_vector(sched[k], params) for k in sched}
     # deterministic window per (previous kind, kind); only the first cycle
     # depends on the previous window

@@ -30,7 +30,6 @@ MULT = "MULT"
 ADDSUB = "ADDSUB"
 EXTERNALS = (EXT_QX, EXT_QY)
 KINDS = ("D", "A")
-ADDRESS_BITS = 6
 
 # a register written back in cycle w can drive the bus from cycle w + 1
 READABLE_LAG = 1
@@ -41,29 +40,6 @@ def mult_block_state(state):
     return "pp" if state.startswith("pp") else state
 
 
-# Default address codes, ADDRESS_BITS wide.  The attack separates the two
-# patterns by the Hamming distance between consecutive bus addresses, so the
-# code assignment decides which schedule differences are visible at all; this
-# table makes every differing cycle of the default schedule distinguishable
-# at zero noise and keeps the window boundary separable regardless of the
-# preceding pattern.  Override any entry through the timing config.
-DEFAULT_ADDRESS_CODES = {
-    "X1": 0b100111,
-    "X2": 0b110000,
-    "X3": 0b010011,
-    "Z1": 0b000011,
-    "Z2": 0b001110,
-    "R0": 0b000111,
-    "R1": 0b101110,
-    "R2": 0b101010,
-    "R3": 0b001011,
-    "QX": 0b010001,
-    "QY": 0b001111,
-    MULT: 0b111100,
-    ADDSUB: 0b111000,
-}
-
-
 @dataclass(frozen=True)
 class Timing:
     """Machine timing rules.  Defaults reproduce the reference design:
@@ -72,7 +48,6 @@ class Timing:
     mul_plan: str = "karatsuba4"  # multiplier segment plan: one pp cycle per step
     overlap: bool = True          # master switch for every overlap rule
     mult_wb_lag: int = 0          # product drivable this many cycles after the output cycle
-    addresses: dict = None        # overrides for DEFAULT_ADDRESS_CODES entries
 
     def __post_init__(self):
         mul_schedule(self.mul_plan)  # raises ValueError for an unknown plan
@@ -81,19 +56,6 @@ class Timing:
         if type(self.mult_wb_lag) is not int or self.mult_wb_lag < 0:
             raise ValueError(
                 f"mult_wb_lag must be an int >= 0, not {self.mult_wb_lag!r}")
-        if not isinstance(self.addresses, (dict, type(None))) or \
-                set(self.addresses or ()) - set(DEFAULT_ADDRESS_CODES):
-            raise ValueError(f"addresses must map names of the default "
-                             f"address table to codes, not {self.addresses!r}")
-        table = self.resolved_addresses()
-        if len(set(table.values())) != len(table) or any(
-                type(c) is not int or not 0 <= c < 1 << ADDRESS_BITS
-                for c in table.values()):
-            raise ValueError(f"address codes must be distinct ints in "
-                             f"[0, {1 << ADDRESS_BITS}): {table}")
-
-    def resolved_addresses(self):
-        return {**DEFAULT_ADDRESS_CODES, **(self.addresses or {})}
 
 
 @dataclass(frozen=True)
@@ -107,9 +69,7 @@ class Transaction:
 @dataclass(frozen=True)
 class CycleEvent:
     cycle: int               # 1-based within the pattern window
-    src_addr: int            # None when the bus is idle this cycle
-    dst_addrs: tuple
-    src_name: str
+    src_name: str            # None when no new addressing is issued
     dst_names: tuple
     mult_state: str
     addsub_state: str
@@ -122,18 +82,6 @@ class PatternSchedule:
     events: tuple
     cycle_count: int
     op_cycles: dict          # op index -> {role: cycle or tuple of cycles}
-    addresses: dict
-
-    def line_states(self):
-        """(src, dst) address-line state per cycle with hold-on-idle."""
-        out = []
-        src = dst = 0
-        for ev in self.events:
-            if ev.src_addr is not None:
-                src = ev.src_addr
-                dst = ev.dst_addrs[0] if ev.dst_addrs else dst
-            out.append((src, dst))
-        return out
 
 
 class ScheduleError(ValueError):
@@ -500,16 +448,12 @@ def _window_events(sched, start, period):
         rel = out - start + 1
         if start <= out < start + period and rel not in mult_state:
             mult_state[rel] = "out"
-    prev = "idle"
+    # the window opens on pp1, so an unassigned cycle follows the output
+    # cycle or a wait
     for rel in range(1, period + 1):
         if rel not in mult_state:
-            if prev == "out":
-                mult_state[rel] = "wait_first"
-            elif prev in ("wait_first", "wait"):
-                mult_state[rel] = "wait"
-            else:
-                mult_state[rel] = "idle"
-        prev = mult_state[rel]
+            mult_state[rel] = ("wait_first" if mult_state[rel - 1] == "out"
+                               else "wait")
     addsub_state = {}
     for (_, _, f1, f2, comp) in sched.addsub_spans:
         for c, name in ((f1, "load1"), (f2, "load2"), (comp, "store")):
@@ -546,7 +490,6 @@ def build_schedules(timing=None):
                     x is not None and (x.src, x.dsts, x.role) != (y.src, y.dsts, y.role)):
                 raise ScheduleError(f"bus not periodic at cycle {rel} ({kind})")
 
-    addresses = t.resolved_addresses()
     schedules = {}
     for kind in KINDS:
         txs = ev_a[kind]
@@ -562,22 +505,18 @@ def build_schedules(timing=None):
             if tx is None or tx.role.startswith("latch"):
                 # silent cycle: either an idle bus or a continued drive of
                 # the same source with no new addressing
-                events.append(CycleEvent(rel, None, (), None, (),
-                                         mult_state[rel],
+                events.append(CycleEvent(rel, None, (), mult_state[rel],
                                          addsub_state.get(rel, "idle"), store))
             else:
-                events.append(CycleEvent(
-                    rel, addresses[tx.src],
-                    tuple(addresses[d] for d in tx.dsts),
-                    tx.src, tx.dsts, mult_state[rel],
-                    addsub_state.get(rel, "idle"), store))
+                events.append(CycleEvent(rel, tx.src, tx.dsts, mult_state[rel],
+                                         addsub_state.get(rel, "idle"), store))
             if tx is not None:
                 spans = op_cycles.setdefault(tx.op_index, {})
                 spans.setdefault(tx.role, []).append(rel)
         op_cycles = {i: {r: tuple(cs) for r, cs in roles.items()}
                      for i, roles in op_cycles.items()}
         schedules[kind] = PatternSchedule(kind, tuple(events), period,
-                                          op_cycles, addresses)
+                                          op_cycles)
     d, a = schedules["D"], schedules["A"]
     assert [e.mult_state for e in d.events] == [e.mult_state for e in a.events]
     assert [e.addsub_state for e in d.events] == [e.addsub_state for e in a.events]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from atomspa.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NOT_RECOVERED, EXIT_OK,
-                         load_config, main, resolve_timing)
+                         load_config, main, resolve_leakage)
 from atomspa.leakage import read_trace
 from atomspa.spa import run_attack
 
@@ -185,8 +185,8 @@ def test_classical_plan_roundtrip(tmp_path, capsys):
 
 
 def test_partial_address_override(tmp_path):
-    cfg = small_config(tmp_path, timing={"addresses": {"X1": 5}})
-    assert resolve_timing(load_config(cfg)).resolved_addresses()["X1"] == 5
+    cfg = small_config(tmp_path, addresses={"X1": 5})
+    assert resolve_leakage(load_config(cfg)).address_table()["X1"] == 5
     assert main(["simulate", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "run")]) == EXIT_OK
 
@@ -196,11 +196,11 @@ def test_partial_address_override(tmp_path):
     ("timing", {"mult_wb_deadline": "pp5"}),  # not a timing option
     ("timing", {"mult_wb_lag": 9}),  # unschedulable
     ("leakage", {"base_levels": {"mult:pp3": 1.0}}),
-    ("timing", {"addresses": {"X1": "a"}}),
-    ("timing", {"addresses": {"FOO": 3}}),
-    ("timing", {"addresses": {"X1": 3, "X2": 3}}),
-    ("timing", {"addresses": {"X1": 64}}),  # wider than the address lines
-    ("timing", {"addresses": [1, 2]}),
+    ("leakage", {"addresses": {"X1": "a"}}),
+    ("leakage", {"addresses": {"FOO": 3}}),
+    ("leakage", {"addresses": {"X1": 3, "X2": 3}}),
+    ("leakage", {"addresses": {"X1": 64}}),  # wider than the address lines
+    ("leakage", {"addresses": [1, 2]}),
     ("timing", {"mult_wb_lag": 1.5}),
     ("timing", {"mult_wb_lag": -4}),
     ("timing", {"overlap": "no"}),
@@ -235,6 +235,24 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     cfg.write_text(json.dumps({section: bad}))
     assert main(["simulate", "--config", str(cfg),
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"unknown_key": 1}, "unknown config keys: ['unknown_key']"),
+    ({"scalar": {"bitz": 3}}, "unknown config keys: ['scalar.bitz']"),
+    ({"base_point": {"x": 1.5, "y": 2}},
+     "coordinates must be ints or hex strings"),
+    ({"timing": {"addresses": {"X1": 5}}}, "moved to leakage.addresses"),
+    ({"leakage": {"base_levels": {"mult:idle": 1.0}}},
+     "unknown base levels: ['mult:idle']"),
+], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle"])
+def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "5", '"0x1b"', "null"])

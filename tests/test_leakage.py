@@ -8,11 +8,13 @@ import pytest
 from scipy import stats
 
 from atomspa.field import get_curve
-from atomspa.atoms import AffinePoint, k_mul, scalar_for_pattern_counts
-from atomspa.sched import (Timing, addressing_diff, build_schedules,
+from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
+                           scalar_for_pattern_counts)
+from atomspa.sched import (ADDSUB, MULT, addressing_diff, build_schedules,
                            mult_block_state)
-from atomspa.leakage import (DEFAULT_BASE_LEVELS, LeakageParams, Trace,
-                             read_trace, simulate_trace, write_trace)
+from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
+                             LeakageParams, read_trace, simulate_trace,
+                             write_trace)
 
 D, A = build_schedules()
 DIFF_CYCLES = {c for c, _ in addressing_diff(D, A)}
@@ -210,9 +212,8 @@ def test_reference_trace_at_zero_noise_is_pinned():
 
 def test_trace_with_an_address_override_is_pinned():
     # the address table reaches the samples: X1 moved to code 5
-    d, a = build_schedules(Timing(addresses={"X1": 5}))
-    t = simulate_trace(("D", "D", "A", "D", "A", "D", "D"), d, a,
-                       params(samples_per_cycle=1))
+    t = simulate_trace(("D", "D", "A", "D", "A", "D", "D"), D, A,
+                       params(samples_per_cycle=1, addresses={"X1": 5}))
     assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
         "d8439ab2794d31db3ccaf2fbee98079eb0b010c7fe24ea2b4c89b1a48b6fd76e")
 
@@ -251,11 +252,33 @@ def test_params_validation():
                 {"alpha": "x"}, {"alpha": True}, {"alpha": math.inf},
                 {"sigma": math.nan}, {"base_levels": ["mult:pp"]},
                 {"base_levels": {"mult:pp": "hi"}},
-                {"base_levels": {"mult:pp": math.nan}}):
+                {"base_levels": {"mult:pp": math.nan}},
+                {"base_levels": {"mult:idle": 1.0}},
+                {"addresses": {"X1": "a"}}, {"addresses": {"FOO": 3}},
+                {"addresses": {"X1": 3, "X2": 3}}, {"addresses": {"X1": 64}},
+                {"addresses": {"X1": True}}, {"addresses": [1, 2]}):
         with pytest.raises(ValueError):
             LeakageParams(**bad)
     assert LeakageParams(seed=2**64 - 1, alpha=0, sigma=1).seed == 2**64 - 1
     assert LeakageParams(base_levels={"mult:pp": 2.0}).levels()["mult:pp"] == 2.0
+
+
+def test_addresses_unique():
+    table = LeakageParams().address_table()
+    assert len(set(table.values())) == len(table)
+    assert set(REGISTER_NAMES) <= set(table)
+    assert {MULT, ADDSUB, "QX", "QY"} <= set(table)
+
+
+def test_partial_address_override_keeps_defaults():
+    table = LeakageParams(addresses={"X1": 5}).address_table()
+    assert table == {**DEFAULT_ADDRESS_CODES, "X1": 5}
+
+
+def test_params_hash_covers_the_address_table():
+    t1 = simulate_trace(("D",), D, A, params())
+    t2 = simulate_trace(("D",), D, A, params(addresses={"X1": 5}))
+    assert t1.meta["params_hash"] != t2.meta["params_hash"]
 
 
 def test_trace_file_roundtrip(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, REGISTER_NAMES,
                            fresh_registers, reference_k_mul, to_affine)
-from atomspa.sched import (ADDSUB, DUMMY_OPS, MULT, ScheduleError, Timing,
-                           _Scheduler, addressing_diff, build_schedules)
+from atomspa.sched import (DUMMY_OPS, MULT, ScheduleError, Timing, _Scheduler,
+                           addressing_diff, build_schedules)
 
 D_SCHED, A_SCHED = build_schedules()
 DIFF = addressing_diff(D_SCHED, A_SCHED)
@@ -60,7 +60,6 @@ def test_overlap_disabled_is_strictly_slower():
 def test_single_bus_driver_per_cycle():
     for sched in (D_SCHED, A_SCHED):
         for ev in sched.events:
-            assert (ev.src_addr is None) == (ev.src_name is None)
             if ev.dst_names:
                 # at most one register receiver plus possibly a block port
                 regs = [d for d in ev.dst_names if d in REGISTER_NAMES]
@@ -131,13 +130,6 @@ def test_filler_ops_only_in_addition():
     assert DUMMY_OPS["A"] == frozenset({2, 5, 8})
 
 
-def test_addresses_unique():
-    table = D_SCHED.addresses
-    assert len(set(table.values())) == len(table)
-    assert set(REGISTER_NAMES) <= set(table)
-    assert {MULT, ADDSUB, "QX", "QY"} <= set(table)
-
-
 def test_unschedulable_configuration_raises():
     # a slow write-back path cannot drain results before the next product
     with pytest.raises(ScheduleError):
@@ -183,11 +175,6 @@ def test_unbounded_write_back_lag_runs_out_of_slots():
 def test_bad_timing_values_raise(bad):
     with pytest.raises(ValueError):
         Timing(**bad)
-
-
-def test_partial_address_override_keeps_defaults():
-    table = Timing(addresses={"X1": 5}).resolved_addresses()
-    assert table == {**D_SCHED.addresses, "X1": 5}
 
 
 @pytest.mark.parametrize("plan, cycles, diff, pp", [
