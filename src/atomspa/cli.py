@@ -56,11 +56,19 @@ def load_config(path):
             raise ConfigError(f"config must be a JSON object, not {user!r:.40}")
         # before the merge, which would hide a misspelt key behind a default
         unknown = sorted(set(user) - set(DEFAULT_CONFIG))
-        if isinstance(user.get("scalar"), dict):
+        scalar = user.get("scalar")
+        if isinstance(scalar, dict):
             unknown += [f"scalar.{k}" for k in sorted(
-                set(user["scalar"]) - {"hex", *DEFAULT_CONFIG["scalar"]})]
+                set(scalar) - {"hex", *DEFAULT_CONFIG["scalar"]})]
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        # scalar.hex names the scalar outright, so it takes no search field
+        # (after the merge, every one of them is set)
+        if isinstance(scalar, dict) and "hex" in scalar:
+            mixed = [f"scalar.{k}" for k in DEFAULT_CONFIG["scalar"]
+                     if k in scalar]
+            if mixed:
+                raise ConfigError(f"scalar.hex conflicts with {mixed}")
         for key, val in user.items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(val)

@@ -21,6 +21,7 @@ about 8e-9.
 import hashlib
 import json
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -305,15 +306,30 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
 
 
 def write_trace(trace, trace_path, meta_path):
-    """Raw little-endian float32 samples plus a JSON sidecar."""
-    with open(trace_path, "wb") as f:
-        np.ascontiguousarray(trace.samples, dtype=TRACE_DTYPE).tofile(f)
+    """Raw little-endian float32 samples plus a JSON sidecar.
+
+    The samples go to a new file that then replaces trace_path, so a trace
+    still mapped from the old file (see read_trace) keeps its samples.
+    """
+    tmp = f"{trace_path}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            np.ascontiguousarray(trace.samples, dtype=TRACE_DTYPE).tofile(f)
+        os.replace(tmp, trace_path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     with open(meta_path, "w") as f:
         json.dump(trace.meta, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def read_trace(trace_path, meta_path):
+    """Check the sidecar and the file size, then return the samples as a
+    read-only view of the mapped file: nothing is copied.  Raises IOError
+    for a bad sidecar or a file whose size is not the samples' byte count.
+    """
     try:
         with open(meta_path) as f:
             meta = json.load(f)
@@ -338,10 +354,14 @@ def read_trace(trace_path, meta_path):
             check_grammar(truth)
         except ValueError as e:
             raise IOError(f"trace metadata ground_truth: {e}") from e
-    samples = np.fromfile(trace_path, dtype=TRACE_DTYPE)
     expect = (meta["samples_per_cycle"] * meta["cycles_per_pattern"]
               * meta["pattern_count"])
-    if samples.size != expect:
-        raise IOError(
-            f"trace length {samples.size} does not match metadata ({expect})")
-    return Trace(samples, meta)
+    nbytes = expect * np.dtype(TRACE_DTYPE).itemsize
+    with open(trace_path, "rb") as f:
+        # checked before mapping, which refuses an empty file
+        size = os.fstat(f.fileno()).st_size
+        if size != nbytes:
+            raise IOError(f"trace file has {size} bytes, metadata needs "
+                          f"{nbytes} ({expect} samples)")
+        buf = mmap.mmap(f.fileno(), nbytes, access=mmap.ACCESS_READ)
+    return Trace(np.frombuffer(buf, dtype=TRACE_DTYPE), meta)

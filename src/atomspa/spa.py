@@ -11,6 +11,7 @@ resolves the label polarity through the double-and-add grammar (no addition
 without a preceding doubling) and reads bits off the pattern sequence.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,8 +235,6 @@ def run_attack(trace):
 
 def write_report(report, out_dir, stem="attack"):
     """Text summary, per-sample CSV, and the correctness-curve SVG."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     txt = os.path.join(out_dir, f"{stem}_summary.txt")
     with open(txt, "w") as f:
@@ -249,11 +248,15 @@ def write_report(report, out_dir, stem="attack"):
         np.concatenate([report.correctness_curve, report.folded_curve]),
         return_inverse=True)
     text = [f"{v:.4f}" for v in values.tolist()]
-    rows = zip(idx[:n].tolist(), idx[n:].tolist())
+    # one flat field list rendered by a single format call
+    fields = [None] * (4 * n)
+    fields[0::4] = range(n)
+    fields[1::4] = (np.arange(n) // spc + 1).tolist()
+    fields[2::4] = [text[i] for i in idx[:n].tolist()]
+    fields[3::4] = [text[i] for i in idx[n:].tolist()]
     with open(csv_path, "w", newline="") as f:
         f.write("sample,clock_cycle,correctness_pct,folded_pct\r\n")
-        f.write("".join(f"{j},{j // spc + 1},{text[c]},{text[d]}\r\n"
-                        for j, (c, d) in enumerate(rows)))
+        f.write(("%d,%d,%s,%s\r\n" * n) % tuple(fields))
     svg_path = os.path.join(out_dir, f"{stem}_correctness.svg")
     with open(svg_path, "w") as f:
         f.write(correctness_svg(report))

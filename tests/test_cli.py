@@ -130,6 +130,26 @@ def test_non_finite_samples_are_io_error(tmp_path, capsys, value):
     assert "non-finite samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [None, -1, 1, 3, 4],
+                         ids=["empty", "minus-1", "plus-1", "plus-3", "plus-4"])
+def test_trace_of_the_wrong_byte_size_is_io_error(tmp_path, capsys, extra):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    data = (out / "trace.bin").read_bytes()
+    if extra is None:
+        data = b""
+    elif extra < 0:
+        data = data[:extra]
+    else:
+        data += bytes(extra)
+    (out / "trace.bin").write_bytes(data)
+    capsys.readouterr()
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_IO
+    assert f"trace file has {len(data)} bytes" in capsys.readouterr().err
+
+
 def test_bad_curve_and_bad_json(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"curve": "P-257"}))
@@ -245,7 +265,10 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     ({"timing": {"addresses": {"X1": 5}}}, "moved to leakage.addresses"),
     ({"leakage": {"base_levels": {"mult:idle": 1.0}}},
      "unknown base levels: ['mult:idle']"),
-], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle"])
+    ({"scalar": {"hex": "0x1b", "bits": 8, "ones_below_msb": 3}},
+     "scalar.hex conflicts with ['scalar.bits', 'scalar.ones_below_msb']"),
+], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle",
+        "scalar-hex-and-bits"])
 def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

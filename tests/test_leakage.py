@@ -13,8 +13,9 @@ from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
 from atomspa.sched import (ADDSUB, MULT, addressing_diff, build_schedules,
                            mult_block_state)
 from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
-                             LeakageParams, read_trace, simulate_trace,
+                             LeakageParams, Trace, read_trace, simulate_trace,
                              write_trace)
+from atomspa.spa import recover_scalar, run_attack
 
 D, A = build_schedules()
 DIFF_CYCLES = {c for c, _ in addressing_diff(D, A)}
@@ -289,6 +290,49 @@ def test_trace_file_roundtrip(tmp_path):
     back = read_trace(tp, mp)
     assert np.array_equal(back.samples, t.samples)
     assert back.meta == t.meta
+    # a read-only view of the mapped file
+    with pytest.raises(ValueError):
+        back.samples[0] = 1.0
+
+
+def test_mapped_trace_survives_a_rewrite(tmp_path):
+    seq = ("D", "A", "D", "D", "A", "D")
+    old = simulate_trace(seq, D, A, params(sigma=0.1, seed=3))
+    tp, mp = tmp_path / "t.bin", tmp_path / "t.json"
+    write_trace(old, tp, mp)
+    back = read_trace(tp, mp)
+    # a shorter trace: had the file been truncated in place, reading the old
+    # view past its new end would raise SIGBUS
+    new = simulate_trace(("D",), D, A, params(sigma=0.1, seed=4))
+    write_trace(new, tp, mp)
+    assert np.array_equal(back.samples, old.samples)
+    assert run_attack(back).recovered_bits == recover_scalar("".join(seq))
+    assert np.array_equal(read_trace(tp, mp).samples, new.samples)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin", "t.json"]
+
+
+def _bad_samples(monkeypatch, t):
+    return Trace(np.array(["not a number"]), t.meta)
+
+
+def _failing_replace(monkeypatch, t):
+    def replace(src, dst):
+        raise OSError("replace failed")
+    monkeypatch.setattr("atomspa.leakage.os.replace", replace)
+    return t
+
+
+@pytest.mark.parametrize("fail", [_bad_samples, _failing_replace],
+                         ids=["samples", "replace"])
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, fail):
+    t = simulate_trace(("D", "A"), D, A, params())
+    tp, mp = tmp_path / "t.bin", tmp_path / "t.json"
+    write_trace(t, tp, mp)
+    before = tp.read_bytes()
+    with pytest.raises((OSError, ValueError)):
+        write_trace(fail(monkeypatch, t), tp, mp)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin", "t.json"]
+    assert tp.read_bytes() == before
 
 
 def test_truncated_trace_rejected(tmp_path):
