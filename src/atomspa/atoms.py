@@ -333,8 +333,12 @@ def scalar_for_pattern_counts(bit_length, ones_below_msb, curve, seed=1):
 
     if ones_below_msb > bit_length - 1:
         raise ValueError("more ones than available bit positions")
-    if bit_length > curve.n.bit_length():
-        raise ValueError(f"a {bit_length}-bit scalar cannot be below the "
+    # the smallest scalar with these counts puts its ones at the bottom; the
+    # width test first keeps a huge bit_length from building that number
+    if bit_length > curve.n.bit_length() or \
+            (1 << (bit_length - 1)) | ((1 << ones_below_msb) - 1) >= curve.n:
+        raise ValueError(f"no {bit_length}-bit scalar with {ones_below_msb} "
+                         f"ones below its leading one is below the "
                          f"{curve.n.bit_length()}-bit group order")
     rng = random.Random(seed)
     for _ in range(10000):

@@ -10,8 +10,9 @@ import json
 import os
 import sys
 from dataclasses import fields
+from typing import NamedTuple
 
-from atomspa.field import get_curve
+from atomspa.field import Curve, get_curve
 from atomspa.atoms import (AffinePoint, ScalarK, k_mul,
                            scalar_for_pattern_counts)
 from atomspa.sched import Timing, build_schedules, addressing_diff
@@ -26,69 +27,93 @@ EXIT_IO = 3
 EXIT_NOT_RECOVERED = 4
 
 # reference scenario: 256-bit scalar with 145 one bits below the leading
-# one, so a run executes 255 doublings and 145 additions
+# one, so a run executes 255 doublings and 145 additions; Timing() and
+# LeakageParams() are its machine and power model
 DEFAULT_CONFIG = {
     "curve": "P-256",
     "scalar": {"bits": 256, "ones_below_msb": 145, "pick_seed": 1},
     "base_point": "generator",
     "timing": {},
-    "leakage": {"alpha": 1.0, "sigma": 0.05, "seed": 1,
-                "samples_per_cycle": 300},
+    "leakage": {},
     "workers": 1,
 }
 
+# the keys each object section accepts; anything else is a misspelling
+SECTION_KEYS = {
+    "scalar": {"hex", *DEFAULT_CONFIG["scalar"]},
+    "base_point": {"x", "y"},
+    "timing": {f.name for f in fields(Timing)},
+    "leakage": {f.name for f in fields(LeakageParams)},
+}
 
-class ConfigError(Exception):
+
+class ConfigError(ValueError):
     pass
 
 
-def load_config(path):
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+class Scenario(NamedTuple):
+    """A parsed scenario config: everything a run is made from."""
+
+    curve: Curve
+    scalar: ScalarK
+    point: AffinePoint
+    timing: Timing
+    leakage: LeakageParams
+    workers: int
+
+
+def load_scenario(path=None, seed=None):
+    """Parse a JSON scenario config into a Scenario; a missing path or key
+    takes the reference scenario.  seed overrides leakage.seed.  Raises
+    ValueError for any config that cannot run, and IOError for a file that
+    cannot be read."""
+    user = {}
     if path:
         try:
             with open(path) as f:
                 user = json.load(f)
         except OSError as e:
             raise IOError(f"cannot read config: {e}") from e
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError(f"config must be a JSON object, not {user!r:.40}")
-        # before the merge, which would hide a misspelt key behind a default
-        unknown = sorted(set(user) - set(DEFAULT_CONFIG))
-        scalar = user.get("scalar")
-        if isinstance(scalar, dict):
-            unknown += [f"scalar.{k}" for k in sorted(
-                set(scalar) - {"hex", *DEFAULT_CONFIG["scalar"]})]
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        # scalar.hex names the scalar outright, so it takes no search field
-        # (after the merge, every one of them is set)
-        if isinstance(scalar, dict) and "hex" in scalar:
-            mixed = [f"scalar.{k}" for k in DEFAULT_CONFIG["scalar"]
-                     if k in scalar]
-            if mixed:
-                raise ConfigError(f"scalar.hex conflicts with {mixed}")
-        for key, val in user.items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
-    return cfg
-
-
-def resolve_curve(cfg):
+    timing = user.get("timing", {})
+    if isinstance(timing, dict) and "addresses" in timing:
+        raise ConfigError("timing.addresses has moved to leakage.addresses")
+    # before any default fills in, which would hide a misspelt key
+    unknown = [key for key in user if key not in DEFAULT_CONFIG]
+    for name, known in SECTION_KEYS.items():
+        if isinstance(user.get(name), dict):
+            unknown += [f"{name}.{key}" for key in user[name]
+                        if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = {**DEFAULT_CONFIG, **user}
+    for name in ("timing", "leakage"):
+        if not isinstance(cfg[name], dict):
+            raise ConfigError(f"{name} must be a JSON object, "
+                              f"not {cfg[name]!r}")
     if not isinstance(cfg["curve"], str):
         raise ConfigError(f"curve must be a name, not {cfg['curve']!r}")
-    try:
-        return get_curve(cfg["curve"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    curve = get_curve(cfg["curve"])
+    leakage = cfg["leakage"]
+    if seed is not None:
+        leakage = {**leakage, "seed": seed}
+    workers = cfg["workers"]
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"workers must be an int >= 1, not {workers!r}")
+    return Scenario(curve, _scalar(cfg["scalar"], curve),
+                    _point(cfg["base_point"], curve), Timing(**cfg["timing"]),
+                    LeakageParams(**leakage), workers)
 
 
-def resolve_scalar(cfg, curve):
-    spec = cfg["scalar"]
+def _scalar(spec, curve):
     if isinstance(spec, dict) and "hex" in spec:
+        # scalar.hex names the scalar outright, so it takes no search field
+        mixed = [f"scalar.{k}" for k in DEFAULT_CONFIG["scalar"] if k in spec]
+        if mixed:
+            raise ConfigError(f"scalar.hex conflicts with {mixed}")
         spec = spec["hex"]
     if isinstance(spec, str):
         k = ScalarK.from_string(spec)
@@ -96,28 +121,24 @@ def resolve_scalar(cfg, curve):
         raise ConfigError(f"scalar must be a string or a JSON object, "
                           f"not {spec!r}")
     else:
-        # the merge with DEFAULT_CONFIG filled in every missing field
-        for name in DEFAULT_CONFIG["scalar"]:
-            if type(spec[name]) is not int:
+        spec = {**DEFAULT_CONFIG["scalar"], **spec}
+        for name, value in spec.items():
+            if type(value) is not int:
                 raise ConfigError(f"scalar {name} must be an int, "
-                                  f"not {spec[name]!r}")
+                                  f"not {value!r}")
         bits, ones = spec["bits"], spec["ones_below_msb"]
-        if ones > bits - 1 or bits < 2:
+        if not 0 <= ones <= bits - 1 or bits < 2:
             raise ConfigError(
                 f"unsatisfiable scalar constraints: {ones} ones in "
                 f"{bits - 1} free positions")
-        try:
-            k = scalar_for_pattern_counts(bits, ones, curve,
-                                          seed=spec["pick_seed"])
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        k = scalar_for_pattern_counts(bits, ones, curve,
+                                      seed=spec["pick_seed"])
     if not (1 <= k.value < curve.n):
         raise ConfigError("scalar outside [1, n)")
     return k
 
 
-def resolve_point(cfg, curve):
-    spec = cfg["base_point"]
+def _point(spec, curve):
     if spec == "generator":
         return AffinePoint(curve.gx, curve.gy)
     try:
@@ -130,53 +151,9 @@ def resolve_point(cfg, curve):
         raise ConfigError(f"bad base point: {e}") from e
 
 
-def _section(cfg, name):
-    spec = cfg.get(name, {})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a JSON object, not {spec!r}")
-    return dict(spec)
-
-
-def resolve_timing(cfg):
-    spec = _section(cfg, "timing")
-    if "addresses" in spec:
-        raise ConfigError("timing.addresses has moved to leakage.addresses")
-    known = {f.name for f in fields(Timing)}
-    bad = set(spec) - known
-    if bad:
-        raise ConfigError(f"unknown timing options: {sorted(bad)}")
-    try:
-        return Timing(**spec)
-    except ValueError as e:
-        raise ConfigError(f"bad timing parameters: {e}") from e
-
-
-def resolve_leakage(cfg, seed_override=None):
-    spec = _section(cfg, "leakage")
-    if seed_override is not None:
-        spec["seed"] = seed_override
-    try:
-        return LeakageParams(**spec)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad leakage parameters: {e}") from e
-
-
-def resolve_workers(cfg):
-    workers = cfg.get("workers", 1)
-    if type(workers) is not int or workers < 1:
-        raise ConfigError(f"workers must be an int >= 1, not {workers!r}")
-    return workers
-
-
 def cmd_simulate(args):
-    cfg = load_config(args.config)
-    curve = resolve_curve(cfg)
-    k = resolve_scalar(cfg, curve)
-    point = resolve_point(cfg, curve)
-    timing = resolve_timing(cfg)
-    params = resolve_leakage(cfg, args.seed)
-    workers = resolve_workers(cfg)
-
+    curve, k, point, timing, params, workers = load_scenario(args.config,
+                                                             args.seed)
     d, a = build_schedules(timing)
     _result, seq = k_mul(k, point, curve)
     trace = simulate_trace(seq, d, a, params, workers=workers)
@@ -216,9 +193,7 @@ def cmd_attack(args):
 
 
 def cmd_diagram(args):
-    cfg = load_config(args.config)
-    timing = resolve_timing(cfg)
-    d, a = build_schedules(timing)
+    d, a = build_schedules(load_scenario(args.config).timing)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = []
     paths += render_diagram(d, os.path.join(args.out_dir, "pattern_d"))
@@ -270,7 +245,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (IOError, OSError) as e:

@@ -23,6 +23,7 @@ import json
 import math
 import mmap
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -71,10 +72,12 @@ DEFAULT_BASE_LEVELS = {
 
 @dataclass(frozen=True)
 class LeakageParams:
+    """The power model; the defaults are the reference scenario's."""
+
     alpha: float = 1.0          # power units per flipped address-line bit
-    sigma: float = 0.0          # Gaussian noise standard deviation
+    sigma: float = 0.05         # Gaussian noise standard deviation
     samples_per_cycle: int = 300
-    seed: int = 0
+    seed: int = 1
     base_levels: dict = None    # overrides for DEFAULT_BASE_LEVELS entries
     addresses: dict = None      # overrides for DEFAULT_ADDRESS_CODES entries
 
@@ -133,7 +136,9 @@ def _is_int(v):
 
 
 def _check_real(name, v):
-    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+    # compared exactly: math.isfinite overflows on huge ints
+    if isinstance(v, bool) or not isinstance(v, Real) or \
+            not abs(v) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, not {v!r}")
 
 

@@ -270,12 +270,11 @@ def correctness_svg(report, width=1000, height=320):
     h = height - 2 * margin
     curve = report.folded_curve
     n = curve.size
-    step = max(1, n // (2 * w))
-    pts = []
-    for j in range(0, n, step):
-        x = margin + w * j / max(1, n - 1)
-        y = margin + h * (1.0 - curve[j] / 100.0)
-        pts.append(f"{x:.1f},{y:.1f}")
+    j = np.arange(0, n, max(1, n // (2 * w)))
+    xy = np.empty(2 * j.size)
+    xy[0::2] = margin + w * j / max(1, n - 1)
+    xy[1::2] = margin + h * (1.0 - curve[j] / 100.0)
+    points = ("%.1f,%.1f " * j.size % tuple(xy.tolist()))[:-1]
     grid = []
     for pct in (0, 25, 50, 75, 100):
         y = margin + h * (1.0 - pct / 100.0)
@@ -288,7 +287,7 @@ def correctness_svg(report, width=1000, height=320):
         f'height="{height}" viewBox="0 0 {width} {height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
         + "\n".join(grid) + "\n"
-        f'<polyline points="{" ".join(pts)}" fill="none" stroke="#c22" '
+        f'<polyline points="{points}" fill="none" stroke="#c22" '
         f'stroke-width="1"/>\n'
         f'<text x="{width/2-80}" y="{height-8}" font-size="12">'
         f'key candidate / sample offset within pattern</text>\n'

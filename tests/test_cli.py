@@ -1,15 +1,24 @@
 """Command-line workflows: simulate, attack, diagram, exit codes."""
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from atomspa.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NOT_RECOVERED, EXIT_OK,
-                         load_config, main, resolve_leakage)
-from atomspa.leakage import read_trace
+from atomspa.atoms import AffinePoint, scalar_for_pattern_counts
+from atomspa.cli import (DEFAULT_CONFIG, EXIT_CONFIG, EXIT_IO,
+                         EXIT_NOT_RECOVERED, EXIT_OK, SECTION_KEYS, Scenario,
+                         load_scenario, main)
+from atomspa.field import get_curve
+from atomspa.leakage import LeakageParams, read_trace
+from atomspa.sched import Timing
 from atomspa.spa import run_attack
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_config(tmp_path, timing=None, **leak):
@@ -94,6 +103,18 @@ def test_scalar_wider_than_the_order_fails_at_once(tmp_path, capsys):
     # search is tried
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scalar": {"bits": 2000, "ones_below_msb": 5}}))
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 0.5
+    assert "256-bit group order" in capsys.readouterr().err
+
+
+def test_impossible_bit_counts_fail_at_once(tmp_path, capsys):
+    # the smallest 256-bit scalar with 255 ones below its leading one is
+    # 2**256 - 1, above P-256's order, so no random search is tried
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scalar": {"ones_below_msb": 255}}))
     t0 = time.perf_counter()
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -206,7 +227,7 @@ def test_classical_plan_roundtrip(tmp_path, capsys):
 
 def test_partial_address_override(tmp_path):
     cfg = small_config(tmp_path, addresses={"X1": 5})
-    assert resolve_leakage(load_config(cfg)).address_table()["X1"] == 5
+    assert load_scenario(cfg).leakage.address_table()["X1"] == 5
     assert main(["simulate", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "run")]) == EXIT_OK
 
@@ -249,6 +270,7 @@ def test_partial_address_override(tmp_path):
     ("workers", 0),
     ("scalar", {"pick_seed": 1.5}),
     ("scalar", {"ones_below_msb": True}),
+    ("leakage", {"alpha": 10**400}),  # finite, but past the float range
 ])
 def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     cfg = tmp_path / "cfg.json"
@@ -267,8 +289,11 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
      "unknown base levels: ['mult:idle']"),
     ({"scalar": {"hex": "0x1b", "bits": 8, "ones_below_msb": 3}},
      "scalar.hex conflicts with ['scalar.bits', 'scalar.ones_below_msb']"),
+    ({"base_point": {"x": 1, "y": 2, "z": 3}},
+     "unknown config keys: ['base_point.z']"),
+    ({"leakage": {"alphaa": 1}}, "unknown config keys: ['leakage.alphaa']"),
 ], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle",
-        "scalar-hex-and-bits"])
+        "scalar-hex-and-bits", "base-point-key", "leakage-key"])
 def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -276,6 +301,92 @@ def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
                  "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagram"])
+@pytest.mark.parametrize("cfg", [
+    {"leakage": {"alpha": "x"}},
+    {"curve": 5},
+    {"workers": 0},
+    {"scalar": {"bits": 2000}},
+], ids=["alpha", "curve", "workers", "bits"])
+def test_every_subcommand_rejects_what_simulate_rejects(tmp_path, command,
+                                                        cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
+def test_default_scenario_is_the_reference():
+    curve = get_curve("P-256")
+    got = load_scenario(None)
+    assert got == Scenario(
+        curve=curve, scalar=scalar_for_pattern_counts(256, 145, curve, seed=1),
+        point=AffinePoint(curve.gx, curve.gy), timing=Timing(),
+        leakage=LeakageParams(alpha=1.0, sigma=0.05, seed=1,
+                              samples_per_cycle=300),
+        workers=1)
+    assert got.leakage == LeakageParams()
+    assert got.scalar.bit_length == 256
+    assert sum(got.scalar.bits[1:]) == 145
+    # the benchmark restates the reference shapes; they must agree
+    spec = importlib.util.spec_from_file_location("bench_jobs",
+                                                  REPO / "bench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    assert (jobs.BITS, jobs.ONES, jobs.SAMPLES_PER_CYCLE) == (
+        got.scalar.bit_length, sum(got.scalar.bits[1:]),
+        got.leakage.samples_per_cycle)
+
+
+# every key the config knows and sometimes a misspelling, with values that
+# are plausible half the time and any JSON value otherwise
+CONFIG_KEYS = st.sampled_from(
+    [(key,) for key in DEFAULT_CONFIG]
+    + [(name, key) for name, known in SECTION_KEYS.items()
+       for key in sorted(known)])
+MISSPELT_KEYS = st.sampled_from(
+    [("unknown_key",), ("scalar", "bitz"), ("base_point", "z"),
+     ("leakage", "alphaa"), ("timing", "addresses")])
+PLAUSIBLE = (st.integers(0, 300) | st.floats(0, 2) | st.booleans()
+             | st.sampled_from(["P-256", "toy23", "generator", "0x1b",
+                                "karatsuba4", "classical"]))
+JSON_VALUES = PLAUSIBLE | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(entries=st.lists(st.tuples(CONFIG_KEYS, JSON_VALUES), max_size=5),
+       typos=st.lists(st.tuples(MISSPELT_KEYS, JSON_VALUES), max_size=1))
+def test_any_config_loads_or_is_config_error(tmp_path_factory, entries,
+                                             typos):
+    cfg = {}
+    for keys, value in entries + typos:
+        if len(keys) == 1:
+            cfg[keys[0]] = value
+        elif isinstance(cfg.setdefault(keys[0], {}), dict):
+            cfg[keys[0]][keys[1]] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        scenario = load_scenario(path)
+    except ValueError:
+        return
+    assert isinstance(scenario, Scenario)
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "5", '"0x1b"', "null"])

@@ -331,3 +331,34 @@ def test_report_files(tmp_path):
         got = (tmp_path / str(i) / "attack_correctness.csv").read_bytes()
         assert got == _csv_rendering(r)
     assert b",nan,nan\r\n" in _csv_rendering(reports[1])
+
+
+def _svg_points(curve, width=1000):
+    # the polyline as correctness_svg once built it, one point at a time
+    margin = 45
+    w, h = width - 2 * margin, 320 - 2 * margin
+    n = curve.size
+    pts = []
+    for j in range(0, n, max(1, n // (2 * w))):
+        x = margin + w * j / max(1, n - 1)
+        y = margin + h * (1.0 - curve[j] / 100.0)
+        pts.append(f"{x:.1f},{y:.1f}")
+    return " ".join(pts)
+
+
+def test_correctness_svg_matches_a_per_point_rendering():
+    from types import SimpleNamespace
+
+    from atomspa.spa import correctness_svg
+
+    trace, _ = small_trace(sigma=0.05, seed=1)
+    blind = Trace(trace.samples, {k: v for k, v in trace.meta.items()
+                                  if k != "ground_truth"})
+    # a reference-sized curve, where the polyline keeps every 17th sample
+    wide = np.random.default_rng(0).uniform(0, 100, 32700)
+    reports = (run_attack(trace), run_attack(blind),
+               SimpleNamespace(folded_curve=wide))
+    for rep in reports:
+        svg = correctness_svg(rep)
+        assert f'<polyline points="{_svg_points(rep.folded_curve)}" ' in svg
+    assert "45.0,nan 45.7,nan" in _svg_points(reports[1].folded_curve)
