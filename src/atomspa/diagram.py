@@ -20,19 +20,24 @@ ADDSUB_COLORS = {"add": "#6f8fd8", "sub": "#c77bc9"}
 
 
 def _op_kind_by_cycle(schedule):
-    """Map addsub activity cycles to 'add'/'sub' of the owning operation."""
+    """Map addsub activity cycles to 'add'/'sub' of the owning operation.
+
+    An operation is found by its second load: only the first port takes a
+    value forwarded in a write-back, which carries the producer's op index.
+    Its first load and its processing cycle flank that load, and the first
+    load of the next operation may take over the processing cycle.
+    """
     kinds = {op.index: op.kind for op in PATTERNS[schedule.kind]}
-    out = {}
+    n = schedule.cycle_count
+    load2 = {}
     for op_index, roles in schedule.op_cycles.items():
         if kinds.get(op_index) in ("add", "sub"):
-            for role, cycles in roles.items():
-                if role.startswith(("fetch", "latch")):
-                    for c in cycles:
-                        out[c] = kinds[op_index]
-    # processing cycles carry the same op as the preceding load
-    for ev in schedule.events:
-        if ev.addsub_state == "store" and ev.cycle not in out:
-            out[ev.cycle] = out.get(ev.cycle - 1, "add")
+            for c in roles.get("fetch2", ()) + roles.get("latch2", ()):
+                load2[c] = kinds[op_index]
+    # the window repeats, so its first cycle follows its last
+    out = {c % n + 1: kind for c, kind in load2.items()}
+    for c, kind in load2.items():
+        out[c - 1 or n] = out[c] = kind
     return out
 
 
@@ -58,8 +63,10 @@ def text_grid(schedule):
         rows["reg store"].append("+".join(ev.reg_store))
         rows["add/sub  "].append(short.get(ev.addsub_state, ev.addsub_state))
         m = ev.mult_state
-        rows["mult     "].append(m.upper() if m.startswith("pp")
-                                 else short.get(m, m))
+        if m.startswith("pp"):
+            # three characters a cell: PP1..PP9, then P10, P11, ...
+            m = m.upper() if len(m) == 3 else f"P{m[2:]}"
+        rows["mult     "].append(short.get(m, m))
     lines = [f"pattern {schedule.kind}, {n} cycles", "cycle    " + header]
     for name, cells in rows.items():
         lines.append(name + "".join(f"{c[:3]:<4s}" for c in cells))

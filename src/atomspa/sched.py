@@ -10,17 +10,19 @@ current one, and a finished product may be written back while the next one
 is already computing.  The adder/subtractor takes two fetch cycles plus one
 processing cycle.
 
-Both atomic patterns must exhibit the identical block-state sequence, so the
-schedule is built once against the union of both patterns' data dependencies
-(each operation waits for whichever pattern's operand is ready last) and then
-stamped twice with the per-pattern register addressing.  The schedule is the
-steady-state window between consecutive first-multiplication starts: tail
+Both atomic patterns must exhibit the identical block-state sequence, so
+both are placed together on one timeline: each operation of the doubling and
+the operation at the same position of the addition take the same cycles,
+the first ones where the operands of both are ready, and only the registers
+they address differ.  The block states are recorded once, as each operation
+is placed.  The schedule is the steady-state window between consecutive first-multiplication starts: tail
 work of a pattern (final write-back, the register copy, the last subtraction)
 spills over the boundary and lands at the head of the next window, which is
 why the window's first cycle carries the previous final-product write-back.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from atomspa.atoms import (DOUBLE_PATTERN, ADD_PATTERN, PATTERNS,
                            REGISTER_NAMES, EXT_QX, EXT_QY)
@@ -63,7 +65,7 @@ class Transaction:
     src: str
     dsts: tuple  # receiver names; at most one register plus possibly a block port
     op_index: int
-    role: str    # fetch1 | fetch2 | writeback | copy | writeback+load
+    role: str    # fetch1 | fetch2 | latch2 | writeback | writeback+load | copy
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,15 @@ def _compute_dummies():
 DUMMY_OPS = _compute_dummies()
 
 
+class _Pending(NamedTuple):
+    """A result held in a block's output register until its write-back."""
+
+    op_index: int
+    instance: int
+    dst: str
+    earliest: int   # first cycle the result may drive the bus
+
+
 class _PatternState:
     """Per-pattern register/value bookkeeping against the shared timeline."""
 
@@ -126,262 +137,207 @@ class _PatternState:
         self.bus = {}          # absolute cycle -> Transaction
         self.ready = {r: (0, -1) for r in REGISTER_NAMES}  # reg -> (cycle, instance)
         self.last_read = {r: 0 for r in REGISTER_NAMES}
-        self.pending = {}      # block -> dict(op_index, instance, latch, dst, role)
-
-    def free(self, cycle):
-        return cycle not in self.bus
+        self.pending = {}      # block -> _Pending
 
 
 class _Scheduler:
     def __init__(self, timing):
         self.t = timing
-        self.pp_count = mul_schedule(timing.mul_plan).step_count
+        # a unit computes for this many cycles after its two fetch cycles;
+        # a product then leaves through one output cycle
+        self.steps = {MULT: mul_schedule(timing.mul_plan).step_count,
+                      ADDSUB: 1}
         self.ps = {k: _PatternState() for k in KINDS}
-        self.prev_pp_last = None   # last partial-product cycle of the last multiplication
-        self.mult_spans = []       # (instance, op_index, f1, f2, pp_first, pp_last)
-        self.addsub_spans = []     # (instance, op_index, f1, f2, comp)
+        self.states = {MULT: {}, ADDSUB: {}}  # block -> absolute cycle -> state
+        self.last_step = {}        # block -> last compute cycle of its latest op
+        self.spans = []            # (instance, op_index, f1, f2) of each unit op
         self.copy_cycles = []      # (instance, op_index, cycle)
-        self.last_addsub_comp = 0
         self.barrier = 0           # latest first-partial-product cycle so far
         self.window_starts = []    # pp_first of each instance's first multiplication
 
-    # -- write-back helpers -------------------------------------------------
+    # -- values and write-backs -----------------------------------------------
 
-    def _wb_min(self, kind, block, pend):
-        lag = self.t.mult_wb_lag if block == MULT else 0
-        war = self.ps[kind].last_read[pend["dst"]] + 1
-        return max(pend["latch"] + lag, war)
+    def _ready(self, kind, reg, instance):
+        """First cycle reg can drive the bus with the value instance reads."""
+        cycle, owner = self.ps[kind].ready[reg]
+        if owner < instance:
+            # value handed over from the previous pattern: either kind may
+            # have produced it, so take the later of the two
+            return max(p.ready[reg][0] for p in self.ps.values())
+        return cycle
 
-    def _find_wb_slot(self, kind, block, pend, limit, blocked=()):
-        lo = self._wb_min(kind, block, pend)
-        st = self.ps[kind]
-        for w in range(lo, limit + 1):
-            if st.free(w) and w not in blocked:
+    def _wb_min(self, kind, pend):
+        # the write-back must not clobber a value still to be read
+        return max(pend.earliest, self.ps[kind].last_read[pend.dst] + 1)
+
+    def _wb_slot(self, kind, pend, hi, taken=()):
+        """First free cycle up to hi where pend may be written back."""
+        bus = self.ps[kind].bus
+        for w in range(self._wb_min(kind, pend), hi + 1):
+            if w not in bus and w not in taken:
                 return w
         return None
 
-    def _commit_wb(self, kind, block, w, forward_to=None):
+    def _commit(self, kind, txs, commits):
+        """Put txs on the bus and publish the write-backs in commits."""
         st = self.ps[kind]
-        pend = st.pending.pop(block)
-        dsts = (pend["dst"], forward_to) if forward_to else (pend["dst"],)
-        role = "writeback+load" if forward_to else "writeback"
-        st.bus[w] = Transaction(block, dsts, pend["op_index"], role)
-        st.ready[pend["dst"]] = (w + READABLE_LAG, pend["instance"])
+        st.bus.update(txs)
+        for block, w in commits.items():
+            pend = st.pending.pop(block)
+            st.ready[pend.dst] = (w + READABLE_LAG, pend.instance)
 
-    def _flush_pending(self, kind, block, deadline):
-        st = self.ps[kind]
-        if block not in st.pending:
+    def _flush(self, kind, block, deadline):
+        """Write back block's pending result by deadline, before it is replaced."""
+        pend = self.ps[kind].pending.get(block)
+        if pend is None:
             return
-        w = self._find_wb_slot(kind, block, st.pending[block], deadline)
+        w = self._wb_slot(kind, pend, deadline)
         if w is None:
             raise ScheduleError(
                 f"{kind}: cannot write back {block} result by cycle {deadline}")
-        self._commit_wb(kind, block, w)
+        self._commit(kind, {w: Transaction(block, (pend.dst,), pend.op_index,
+                                           "writeback")}, {block: w})
 
-    # -- operand feasibility -------------------------------------------------
+    # -- operand fetches -------------------------------------------------------
 
-    def _operand_plan(self, kind, instance, op, pos, fetch_cycle, receiver,
-                      taken, commits, dummy, prev_plan=None):
-        """Return a plan dict for reading one operand at fetch_cycle, or None.
+    def _plan(self, kind, instance, op, f1, receiver):
+        """Bus transactions that bring op's operands into receiver at f1, f1 + 1.
 
-        taken: cycles already claimed in this pattern by the current op's
-        tentative plan; commits: blocks already tentatively written back,
-        block -> (cycle, is_port_forward); prev_plan: the plan chosen for
-        the operand fetched the cycle before, if any.
+        Returns (txs, commits): cycle -> Transaction, including the
+        write-backs and forwarded loads the fetches need, and block ->
+        cycle of each pending result they write back.  Returns None when a
+        fetch cycle is busy or an operand cannot be ready in time.
         """
         st = self.ps[kind]
-        src = op.src1 if pos == 1 else op.src2
-        if prev_plan and prev_plan["type"] == "read" and prev_plan["src"] == src:
-            # same source again: the register keeps driving the bus and the
-            # second port latches silently, with no new addressing
-            if st.free(fetch_cycle) and fetch_cycle not in taken:
-                return {"type": "latch", "src": src, "cycle": fetch_cycle}
+        if f1 in st.bus or f1 + 1 in st.bus:
             return None
-        busy = (not st.free(fetch_cycle)) or fetch_cycle in taken
-        if src in EXTERNALS or dummy:
-            if busy:
-                return None
-            return {"type": "read", "src": src, "cycle": fetch_cycle}
-        # real register read: value must be written back early enough
-        producer_block = None
-        for block, pend in st.pending.items():
-            if pend["dst"] == src and block not in commits:
-                producer_block = block
-        if producer_block is None:
-            if src in {st.pending[b]["dst"] for b in commits if b in st.pending}:
-                # produced by a block committed earlier in this plan
-                block = next(b for b in commits if st.pending[b]["dst"] == src)
-                w, _ = commits[block]
-                if fetch_cycle < w + READABLE_LAG or busy:
-                    return None
-                return {"type": "read", "src": src, "cycle": fetch_cycle}
-            ready_cycle, ready_inst = st.ready[src]
-            if ready_inst < instance:
-                # value handed over from the previous pattern: either kind
-                # may have produced it, so take the later of the two
-                ready_cycle = max(p.ready[src][0] for p in self.ps.values())
-            if fetch_cycle < ready_cycle or busy:
-                return None
-            return {"type": "read", "src": src, "cycle": fetch_cycle}
-        pend = st.pending[producer_block]
-        w = self._find_wb_slot(kind, producer_block, pend,
-                               fetch_cycle - READABLE_LAG, blocked=taken)
-        if w is not None and not busy:
-            return {"type": "read", "src": src, "cycle": fetch_cycle,
-                    "commit": (producer_block, w, False)}
-        # the multiplier's ports may latch any result in flight; the add/sub
-        # unit's first port only a product, never the unit's own result
-        forward_ok = receiver == MULT or (pos == 1 and producer_block == MULT)
-        if forward_ok and self.t.overlap:
-            # the receiving port latches the value during its write-back
-            if fetch_cycle >= self._wb_min(kind, producer_block, pend) \
-                    and st.free(fetch_cycle) and fetch_cycle not in taken:
-                return {"type": "mc", "src": src, "cycle": fetch_cycle,
-                        "commit": (producer_block, fetch_cycle, True)}
-        return None
-
-    def _plan_kind(self, kind, instance, op, f1, receiver):
         dummy = op.index in DUMMY_OPS[kind]
-        taken = set()
-        commits = {}
-        ops_plan = []
-        prev = None
-        for pos in (1, 2):
-            p = self._operand_plan(kind, instance, op, pos, f1 + pos - 1,
-                                   receiver, taken, commits, dummy,
-                                   prev_plan=prev)
-            if p is None:
-                return None
-            taken.add(p["cycle"])
-            if "commit" in p:
-                block, w, mc = p["commit"]
-                taken.add(w)
-                commits[block] = (w, mc)
-            ops_plan.append((pos, p))
-            prev = p
-        return ops_plan
-
-    def _plan_fetches(self, instance, op_d, op_a, f1, receiver):
-        """Feasibility of fetching both operands at (f1, f1+1) in both patterns."""
-        plans = {}
-        for kind, op in (("D", op_d), ("A", op_a)):
-            plan = self._plan_kind(kind, instance, op, f1, receiver)
-            if plan is None:
-                return None
-            plans[kind] = plan
-        return plans
-
-    def _apply_fetches(self, plans, receiver, op_by_kind):
-        for kind, ops_plan in plans.items():
-            st = self.ps[kind]
-            op = op_by_kind[kind]
-            dummy = op.index in DUMMY_OPS[kind]
-            for pos, p in ops_plan:
-                if "commit" in p:
-                    block, w, mc = p["commit"]
-                    self._commit_wb(kind, block, w,
-                                    forward_to=receiver if mc else None)
-                if p["type"] == "read":
-                    st.bus[p["cycle"]] = Transaction(
-                        p["src"], (receiver,), op.index, f"fetch{pos}")
-                elif p["type"] == "latch":
-                    # bus stays occupied by the continued drive, but the
-                    # controller issues no new addressing
-                    st.bus[p["cycle"]] = Transaction(
-                        p["src"], (receiver,), op.index, f"latch{pos}")
-                # a filler operation reads whatever the register holds, so
-                # it puts no write-after-read pressure on pending results
-                if p["src"] in REGISTER_NAMES and not dummy:
-                    st.last_read[p["src"]] = max(st.last_read[p["src"]],
-                                                 p["cycle"])
-
-    # -- op scheduling -------------------------------------------------------
-
-    def _schedule_mult(self, instance, op_d, op_a):
-        prev_pp_last = self.prev_pp_last
-        if prev_pp_last is None:
-            lo = 1
-        elif self.t.overlap:
-            lo = prev_pp_last - 1      # within the last two partial products
-        else:
-            lo = prev_pp_last + 2      # only after the output cycle
-        for f1 in range(lo, lo + 4000):
-            plans = self._plan_fetches(instance, op_d, op_a, f1, MULT)
-            if plans is None:
+        txs, commits = {}, {}
+        for pos, src in ((1, op.src1), (2, op.src2)):
+            c = f1 + pos - 1
+            if pos == 2 and txs[f1].role == "fetch1" and txs[f1].src == src:
+                # same source again: the register keeps driving the bus and
+                # the second port latches silently, with no new addressing
+                txs[c] = Transaction(src, (receiver,), op.index, "latch2")
                 continue
-            self._apply_fetches(plans, MULT, {"D": op_d, "A": op_a})
-            pp_first = f1 + 2
-            pp_last = pp_first + self.pp_count - 1
-            # the previous product must have left its output register
-            for kind in KINDS:
-                self._flush_pending(kind, MULT, pp_last)
-            for kind, op in (("D", op_d), ("A", op_a)):
-                self.ps[kind].pending[MULT] = {
-                    "op_index": op.index, "instance": instance,
-                    "latch": pp_last + 1, "dst": op.dst}
-            self.prev_pp_last = pp_last
-            self.mult_spans.append(
-                (instance, op_d.index, f1, f1 + 1, pp_first, pp_last))
-            self.barrier = max(self.barrier, pp_first)
-            if op_d.index == 1:
-                self.window_starts.append(pp_first)
-            return
-        raise ScheduleError(f"no slot for multiplication op {op_d.index}")
+            # a filler operation reads whatever the register holds
+            if src not in EXTERNALS and not dummy:
+                producer = None
+                for block, pend in st.pending.items():
+                    if pend.dst == src and block not in commits:
+                        producer = block
+                if producer is None:
+                    # the value is published, or written back by this plan
+                    done = [w for b, w in commits.items()
+                            if st.pending[b].dst == src]
+                    ready = (done[0] + READABLE_LAG if done
+                             else self._ready(kind, src, instance))
+                    if c < ready:
+                        return None
+                else:
+                    pend = st.pending[producer]
+                    w = self._wb_slot(kind, pend, c - READABLE_LAG, taken=txs)
+                    if w is not None:
+                        txs[w] = Transaction(producer, (pend.dst,),
+                                             pend.op_index, "writeback")
+                        commits[producer] = w
+                    elif (self.t.overlap and c >= self._wb_min(kind, pend)
+                          and (receiver == MULT
+                               or (pos == 1 and producer == MULT))):
+                        # the receiving port latches the value during its
+                        # write-back; the multiplier's ports may take any
+                        # result in flight, the add/sub unit's first port
+                        # only a product
+                        txs[c] = Transaction(producer, (pend.dst, receiver),
+                                             pend.op_index, "writeback+load")
+                        commits[producer] = c
+                        continue
+                    else:
+                        return None
+            txs[c] = Transaction(src, (receiver,), op.index, f"fetch{pos}")
+        return txs, commits
 
-    def _schedule_addsub(self, instance, op_d, op_a):
-        # the unit may take its next first operand while storing, and like
-        # every non-multiplier op issues only after earlier products started
-        gap = 0 if self.t.overlap else 1
-        lo = max(self.last_addsub_comp + gap, self.barrier + 1)
-        for f1 in range(lo, lo + 4000):
-            plans = self._plan_fetches(instance, op_d, op_a, f1, ADDSUB)
-            if plans is None:
-                continue
-            self._apply_fetches(plans, ADDSUB, {"D": op_d, "A": op_a})
-            comp = f1 + 2
-            # the previous result leaves the unit before this one lands
-            for kind in KINDS:
-                self._flush_pending(kind, ADDSUB, comp)
-            for kind, op in (("D", op_d), ("A", op_a)):
-                self.ps[kind].pending[ADDSUB] = {
-                    "op_index": op.index, "instance": instance,
-                    "latch": comp, "dst": op.dst}
-            self.last_addsub_comp = comp
-            self.addsub_spans.append((instance, op_d.index, f1, f1 + 1, comp))
-            return
-        raise ScheduleError(f"no slot for add/sub op {op_d.index}")
+    # -- op placement ----------------------------------------------------------
 
-    def _schedule_copy(self, instance, op_d, op_a):
-        lo = self.barrier + 1
+    @staticmethod
+    def _first_slot(lo, place, what):
+        """First cycle c from lo where place(c) is not None, with that value."""
         for c in range(lo, lo + 4000):
-            ok = True
-            for kind, op in (("D", op_d), ("A", op_a)):
-                st = self.ps[kind]
-                ready_cycle, ready_inst = st.ready[op.src1]
-                if ready_inst < instance:
-                    ready_cycle = max(p.ready[op.src1][0] for p in self.ps.values())
-                war = st.last_read[op.dst] + 1
-                if c < max(ready_cycle, war) or not st.free(c):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for kind, op in (("D", op_d), ("A", op_a)):
-                st = self.ps[kind]
-                st.bus[c] = Transaction(op.src1, (op.dst,), op.index, "copy")
-                st.last_read[op.src1] = max(st.last_read[op.src1], c)
-                st.ready[op.dst] = (c + READABLE_LAG, instance)
-            self.copy_cycles.append((instance, op_d.index, c))
-            return
-        raise ScheduleError(f"no slot for copy op {op_d.index}")
+            found = place(c)
+            if found is not None:
+                return c, found
+        raise ScheduleError(f"no slot for {what}")
 
-    def _schedule_one(self, n, op_d, op_a):
-        if op_d.kind == "mul":
-            self._schedule_mult(n, op_d, op_a)
-        elif op_d.kind == "copy":
-            self._schedule_copy(n, op_d, op_a)
+    def _schedule_unit(self, block, instance, ops):
+        """Place one op of each pattern (ops: kind -> op) on unit block."""
+        steps = self.steps[block]
+        out = 1 if block == MULT else 0
+        # like every op, issue only after earlier products started
+        lo = self.barrier + 1
+        if block in self.last_step:
+            if self.t.overlap:
+                # the next two fetches may overlap the last two compute
+                # cycles (the add/sub unit's only one)
+                lo = max(lo, self.last_step[block] + 1 - min(2, steps))
+            else:
+                lo = max(lo, self.last_step[block] + 1 + out)
+
+        def place(f1):
+            plans = {}
+            for kind, op in ops.items():
+                plans[kind] = self._plan(kind, instance, op, f1, block)
+                if plans[kind] is None:
+                    return None
+            return plans
+
+        name = "multiplication" if block == MULT else "add/sub"
+        f1, plans = self._first_slot(lo, place, f"{name} op {ops['D'].index}")
+        first, last = f1 + 2, f1 + 1 + steps
+        earliest = last + out + (self.t.mult_wb_lag if block == MULT else 0)
+        for kind, op in ops.items():
+            st = self.ps[kind]
+            self._commit(kind, *plans[kind])
+            # a filler operation reads whatever the register holds, so it
+            # puts no write-after-read pressure on pending results
+            if op.index not in DUMMY_OPS[kind]:
+                for c, src in ((f1, op.src1), (f1 + 1, op.src2)):
+                    if src in REGISTER_NAMES:
+                        st.last_read[src] = max(st.last_read[src], c)
+            # the previous result must leave the unit before this one lands
+            self._flush(kind, block, last)
+            st.pending[block] = _Pending(op.index, instance, op.dst, earliest)
+        states = self.states[block]
+        if block == MULT:
+            for i, c in enumerate(range(first, last + 1), start=1):
+                states[c] = f"pp{i}"
+            for c, state in ((f1, "load1"), (f1 + 1, "load2"), (last + 1, "out")):
+                states.setdefault(c, state)
+            self.barrier = first
+            if ops["D"].index == 1:
+                self.window_starts.append(first)
         else:
-            self._schedule_addsub(n, op_d, op_a)
+            states.update({f1: "load1", f1 + 1: "load2", last: "store"})
+        self.last_step[block] = last
+        self.spans.append((instance, ops["D"].index, f1, f1 + 1))
+
+    def _schedule_copy(self, instance, ops):
+        """Place one register copy of each pattern in a single bus cycle."""
+        def place(c):
+            for kind, op in ops.items():
+                st = self.ps[kind]
+                if c in st.bus or c < max(self._ready(kind, op.src1, instance),
+                                          st.last_read[op.dst] + 1):
+                    return None
+            return True
+
+        c, _ = self._first_slot(self.barrier + 1, place,
+                                f"copy op {ops['D'].index}")
+        for kind, op in ops.items():
+            st = self.ps[kind]
+            st.bus[c] = Transaction(op.src1, (op.dst,), op.index, "copy")
+            st.last_read[op.src1] = max(st.last_read[op.src1], c)
+            st.ready[op.dst] = (c + READABLE_LAG, instance)
+        self.copy_cycles.append((instance, ops["D"].index, c))
 
     @staticmethod
     def _can_hoist(pairs, k, m):
@@ -420,46 +376,46 @@ class _Scheduler:
                             if self._can_hoist(pairs, k, m):
                                 pick = m
                             break
-                self._schedule_one(n, *pairs[pick])
+                ops = dict(zip(KINDS, pairs[pick]))
+                if ops["D"].kind == "copy":
+                    self._schedule_copy(n, ops)
+                else:
+                    self._schedule_unit(
+                        MULT if ops["D"].kind == "mul" else ADDSUB, n, ops)
                 done[pick] = True
         return self
 
 
-def _window_events(sched, start, period):
-    """Collect per-pattern transactions and block states for one window."""
-    per_kind = {}
-    for kind in KINDS:
-        txs = {}
-        for c, tx in sched.ps[kind].bus.items():
-            if start <= c < start + period:
-                txs[c - start + 1] = tx
-        per_kind[kind] = txs
-    # block states (shared between patterns)
-    mult_state = {}
-    for (_, _, f1, f2, pp_first, pp_last) in sched.mult_spans:
-        for i, c in enumerate(range(pp_first, pp_last + 1), start=1):
-            if start <= c < start + period:
-                mult_state[c - start + 1] = f"pp{i}"
-        for c, name in ((f1, "load1"), (f2, "load2")):
-            rel = c - start + 1
-            if start <= c < start + period and rel not in mult_state:
-                mult_state[rel] = name
-        out = pp_last + 1
-        rel = out - start + 1
-        if start <= out < start + period and rel not in mult_state:
-            mult_state[rel] = "out"
-    # the window opens on pp1, so an unassigned cycle follows the output
-    # cycle or a wait
-    for rel in range(1, period + 1):
-        if rel not in mult_state:
-            mult_state[rel] = ("wait_first" if mult_state[rel - 1] == "out"
-                               else "wait")
-    addsub_state = {}
-    for (_, _, f1, f2, comp) in sched.addsub_spans:
-        for c, name in ((f1, "load1"), (f2, "load2"), (comp, "store")):
-            if start <= c < start + period:
-                addsub_state[c - start + 1] = name
-    return per_kind, mult_state, addsub_state
+def _window(sched, kind, start, period):
+    """The PatternSchedule of one kind over cycles start .. start + period - 1."""
+    cycles = range(start, start + period)
+    txs = [sched.ps[kind].bus.get(c) for c in cycles]
+    mult_states = []
+    for c in cycles:
+        # the window opens on pp1, so an unassigned cycle follows the
+        # output cycle or a wait
+        mult_states.append(sched.states[MULT].get(c) or (
+            "wait_first" if mult_states[-1] == "out" else "wait"))
+    events = []
+    op_cycles = {}
+    # the window repeats, so its first cycle follows its last
+    for rel, (c, tx, prev_tx, mult_state) in enumerate(
+            zip(cycles, txs, txs[-1:] + txs[:-1], mult_states), start=1):
+        # registers addressed in the previous cycle latch in this one
+        store = tuple(d for d in (prev_tx.dsts if prev_tx else ())
+                      if d in REGISTER_NAMES)
+        # silent cycle: either an idle bus or a continued drive of the same
+        # source with no new addressing
+        silent = tx is None or tx.role == "latch2"
+        events.append(CycleEvent(rel, None if silent else tx.src,
+                                 () if silent else tx.dsts, mult_state,
+                                 sched.states[ADDSUB].get(c, "idle"), store))
+        if tx is not None:
+            roles = op_cycles.setdefault(tx.op_index, {})
+            roles.setdefault(tx.role, []).append(rel)
+    op_cycles = {i: {r: tuple(cs) for r, cs in roles.items()}
+                 for i, roles in op_cycles.items()}
+    return PatternSchedule(kind, tuple(events), period, op_cycles)
 
 
 def build_schedules(timing=None):
@@ -476,51 +432,15 @@ def build_schedules(timing=None):
     if len(periods) < 3 or periods[-1] != periods[-2]:
         raise ScheduleError(f"schedule does not reach a steady state: {periods}")
     period = periods[-1]
-    # take the last fully settled window (its successor must exist in full)
-    start = starts[-3]
-    ev_a, mult_state, addsub_state = _window_events(sched, start, period)
-    ev_b, mult_b, addsub_b = _window_events(sched, starts[-2], period)
-    for rel in range(1, period + 1):
-        if mult_state[rel] != mult_b[rel] or \
-                addsub_state.get(rel) != addsub_b.get(rel):
-            raise ScheduleError("block states not periodic")
-        for kind in KINDS:
-            x, y = ev_a[kind].get(rel), ev_b[kind].get(rel)
-            if (x is None) != (y is None) or (
-                    x is not None and (x.src, x.dsts, x.role) != (y.src, y.dsts, y.role)):
-                raise ScheduleError(f"bus not periodic at cycle {rel} ({kind})")
-
-    schedules = {}
+    # take the last fully settled window; its successor must repeat it
+    schedules = []
     for kind in KINDS:
-        txs = ev_a[kind]
-        events = []
-        op_cycles = {}
-        for rel in range(1, period + 1):
-            tx = txs.get(rel)
-            prev_tx = txs.get(rel - 1) if rel > 1 else ev_a[kind].get(period)
-            # registers addressed in the previous cycle latch in this one
-            store = tuple(d for d in (prev_tx.dsts if prev_tx else ())
-                          if d in REGISTER_NAMES
-                          and not prev_tx.role.startswith("latch"))
-            if tx is None or tx.role.startswith("latch"):
-                # silent cycle: either an idle bus or a continued drive of
-                # the same source with no new addressing
-                events.append(CycleEvent(rel, None, (), mult_state[rel],
-                                         addsub_state.get(rel, "idle"), store))
-            else:
-                events.append(CycleEvent(rel, tx.src, tx.dsts, mult_state[rel],
-                                         addsub_state.get(rel, "idle"), store))
-            if tx is not None:
-                spans = op_cycles.setdefault(tx.op_index, {})
-                spans.setdefault(tx.role, []).append(rel)
-        op_cycles = {i: {r: tuple(cs) for r, cs in roles.items()}
-                     for i, roles in op_cycles.items()}
-        schedules[kind] = PatternSchedule(kind, tuple(events), period,
-                                          op_cycles)
-    d, a = schedules["D"], schedules["A"]
-    assert [e.mult_state for e in d.events] == [e.mult_state for e in a.events]
-    assert [e.addsub_state for e in d.events] == [e.addsub_state for e in a.events]
-    return d, a
+        window = _window(sched, kind, starts[-3], period)
+        if window != _window(sched, kind, starts[-2], period):
+            raise ScheduleError(f"{kind}: schedule is not periodic "
+                                f"over {period} cycles")
+        schedules.append(window)
+    return tuple(schedules)
 
 
 def addressing_diff(d, a):

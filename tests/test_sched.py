@@ -1,15 +1,17 @@
 """Cycle schedule: atomicity, timing, addressing differences, dataflow."""
 
 import hashlib
+import random
 import time
 
 import pytest
 
 from atomspa.field import get_curve
-from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, REGISTER_NAMES,
-                           fresh_registers, reference_k_mul, to_affine)
-from atomspa.sched import (DUMMY_OPS, MULT, ScheduleError, Timing, _Scheduler,
-                           addressing_diff, build_schedules)
+from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, EXT_QX, EXT_QY,
+                           PATTERNS, REGISTER_NAMES, fresh_registers,
+                           reference_k_mul, run_pattern, to_affine)
+from atomspa.sched import (DUMMY_OPS, MULT, ScheduleError, Timing, Transaction,
+                           _Scheduler, addressing_diff, build_schedules)
 
 D_SCHED, A_SCHED = build_schedules()
 DIFF = addressing_diff(D_SCHED, A_SCHED)
@@ -170,6 +172,39 @@ def test_unbounded_write_back_lag_runs_out_of_slots():
     assert time.perf_counter() - t0 < 1
 
 
+def _tamper_with_run(monkeypatch, tamper):
+    """Make every _Scheduler.run hand its result to tamper first."""
+    run = _Scheduler.run
+
+    def tampered(self, instances):
+        sch = run(self, instances)
+        tamper(sch)
+        return sch
+
+    monkeypatch.setattr(_Scheduler, "run", tampered)
+
+
+def test_stray_bus_transaction_breaks_periodicity(monkeypatch):
+    def stray(sch):
+        bus = sch.ps["A"].bus
+        lo, hi = sch.window_starts[-2:]
+        c = next(c for c in range(lo, hi) if c not in bus)
+        bus[c] = Transaction("X1", ("R0",), 1, "fetch1")
+
+    _tamper_with_run(monkeypatch, stray)
+    with pytest.raises(ScheduleError, match="periodic"):
+        build_schedules()
+
+
+def test_uneven_window_starts_are_no_steady_state(monkeypatch):
+    def shift(sch):
+        sch.window_starts[-1] += 1
+
+    _tamper_with_run(monkeypatch, shift)
+    with pytest.raises(ScheduleError, match="steady state"):
+        build_schedules()
+
+
 @pytest.mark.parametrize("bad", [{"mul_plan": "toom"},
                                  {"mult_wb_lag": -1}])
 def test_bad_timing_values_raise(bad):
@@ -205,6 +240,8 @@ def test_schedule_dataflow_matches_repeated_doubling():
     final point, so this exercises the schedule's dependency handling,
     including port-forwarded loads and the silent repeat-fetch latches.
     """
+    curve = get_curve("P-256")
+    g = AffinePoint(curve.gx, curve.gy)
     for plan in ("karatsuba4", "classical"):
         for overlap in (True, False):
             for lag in range(11):
@@ -221,21 +258,67 @@ def test_schedule_dataflow_matches_repeated_doubling():
                 for ev in d.events + a.events:
                     regs = [r for r in ev.dst_names if r in REGISTER_NAMES]
                     assert len(regs) <= 1, (timing, ev)
-                _replay_doublings(timing)
+                got = to_affine(_replay(timing, "D")[0], curve)
+                want = reference_k_mul(1 << (REPLAYED - 1), g, curve)
+                assert (got.x, got.y) == (want.x, want.y), timing
 
 
-def _replay_doublings(timing):
+def test_schedule_dataflow_matches_repeated_additions():
+    """Bus-level replay of an addition-only stream matches run_pattern.
+
+    The addition pattern adds the filler operations, which read whatever
+    their registers hold and whose results are dead, and the external
+    QX/QY ports.  Starting from random register values, the five
+    point registers must equal those of the same number of run_pattern("A")
+    calls on the same input.
+    """
     curve = get_curve("P-256")
-    g = AffinePoint(curve.gx, curve.gy)
+    for plan in ("karatsuba4", "classical"):
+        for overlap in (True, False):
+            for lag in range(11):
+                timing = Timing(mul_plan=plan, overlap=overlap,
+                                mult_wb_lag=lag)
+                try:
+                    build_schedules(timing)
+                except ScheduleError:
+                    continue
+                got, (want, q) = _replay(timing, "A")
+                for _ in range(REPLAYED - 1):
+                    want, _ = run_pattern("A", want, curve, q)
+                for reg in ("X1", "X2", "X3", "Z1", "Z2"):
+                    assert got[reg] == want[reg], (timing, reg)
+
+
+# instances scheduled per replay; all but the last are checked
+REPLAYED = 5
+
+
+def _replay(timing, kind):
+    """Replay pattern `kind` on the bus of a REPLAYED-instance schedule.
+
+    Returns the register file once every op of the first REPLAYED - 1
+    instances has landed, and the (registers, addend) it started from.
+    Doublings start from G; additions from seeded random registers and a
+    random affine addend (run_pattern does not check its input).
+    """
+    curve = get_curve("P-256")
     f = curve.field
-    instances = 5
-    sch = _Scheduler(timing).run(instances)
-    bus = sch.ps["D"].bus
-    ops = {op.index: op for op in DOUBLE_PATTERN}
+    if kind == "D":
+        regs = fresh_registers(curve, AffinePoint(curve.gx, curve.gy))
+        q = None
+    else:
+        rng = random.Random(7)
+        regs = {r: rng.randrange(f.p) for r in REGISTER_NAMES}
+        q = AffinePoint(rng.randrange(f.p), rng.randrange(f.p))
+    start = (dict(regs), q)
+    ext = {EXT_QX: q.x, EXT_QY: q.y} if q else {}
+    sch = _Scheduler(timing).run(REPLAYED)
+    bus = sch.ps[kind].bus
+    ops = {op.index: op for op in PATTERNS[kind]}
 
     # per-instance fetch slots: where each op captures its two operands
     fetch_owner = {}
-    for inst, idx, f1, f2, *_ in sch.mult_spans + sch.addsub_spans:
+    for inst, idx, f1, f2 in sch.spans:
         fetch_owner[f1] = fetch_owner[f2] = (inst, idx)
 
     # a block holds one pending result, so each op's write-backs land in
@@ -250,11 +333,11 @@ def _replay_doublings(timing):
             drained[idx] = key[0] + 1
             wb_owner[cyc] = key
             landed[key] = cyc
-    # the register file holds 2^(n+1) * G once every op of instance n landed
-    last = instances - 2
-    cutoff = max(landed[(last, op.index)] for op in DOUBLE_PATTERN)
+    # the register file holds the state after instance n once every op of
+    # instance n landed
+    last = REPLAYED - 2
+    cutoff = max(landed[(last, op.index)] for op in PATTERNS[kind])
 
-    regs = fresh_registers(curve, g)
     captured = {}
     snapshot = None
 
@@ -281,11 +364,8 @@ def _replay_doublings(timing):
             value = result_of(key)
             regs[op.dst] = value
             bus_value = value
-        else:  # fetch or silent latch: the register drives the bus
-            bus_value = regs[tx.src]
+        else:  # fetch or silent latch: the register or port drives the bus
+            bus_value = ext[tx.src] if tx.src in ext else regs[tx.src]
         if cyc in fetch_owner:
             captured.setdefault(fetch_owner[cyc], []).append(bus_value)
-
-    got = to_affine(snapshot, curve)
-    want = reference_k_mul(1 << (instances - 1), g, curve)
-    assert (got.x, got.y) == (want.x, want.y), timing
+    return snapshot, start
