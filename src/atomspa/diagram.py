@@ -42,7 +42,12 @@ def _op_kind_by_cycle(schedule):
 
 
 def text_grid(schedule):
-    """Plain-text rendering, one column per clock cycle."""
+    """Plain-text rendering, one column per clock cycle.
+
+    A cell holds three characters, so the units print as MUL and ADD.  A
+    write-back that also forwards its value to a unit names the register
+    in the bus dst row and the unit in the fwd dst row.
+    """
     if not schedule.events:
         return "(empty schedule)\n"
     n = schedule.cycle_count
@@ -50,6 +55,7 @@ def text_grid(schedule):
     rows = {
         "bus src  ": [],
         "bus dst  ": [],
+        "fwd dst  ": [],
         "reg store": [],
         "add/sub  ": [],
         "mult     ": [],
@@ -58,8 +64,9 @@ def text_grid(schedule):
              "wait_first": "w1", "wait": "w", "idle": ""}
     for ev in schedule.events:
         rows["bus src  "].append(ev.src_name or "")
-        regs = [d for d in ev.dst_names]
-        rows["bus dst  "].append("+".join(regs))
+        dst, *fwd = ev.dst_names or ("",)
+        rows["bus dst  "].append(dst)
+        rows["fwd dst  "].append("+".join(fwd))
         rows["reg store"].append("+".join(ev.reg_store))
         rows["add/sub  "].append(short.get(ev.addsub_state, ev.addsub_state))
         m = ev.mult_state

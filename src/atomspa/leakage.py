@@ -1,12 +1,16 @@
 """Synthetic power traces for full scalar-multiplication runs.
 
 Every clock cycle contributes samples_per_cycle samples built from three
-terms: a base waveform selected by the block activity states (identical for
+terms: a base level selected by the block activity states (identical for
 both pattern kinds by construction), an address-transition term proportional
 to the Hamming distance between the bus address lines of this cycle and the
 previous one, and Gaussian noise.  The address lines hold their value across
-idle cycles, and the state carries over pattern boundaries, so the final
-write-back of one pattern leaks into the first cycle of the next window.
+silent cycles, across the window boundary too, so the final write-back of
+one pattern leaks into the next window.  The noiseless trace is therefore
+four per-cycle level vectors, one per (previous kind, kind) window (see
+window_levels), each cycle's level repeated samples_per_cycle times.  Only
+Hamming distances reach the samples, so XOR-ing every code of the address
+table with one common mask changes no sample.
 
 Noise is N(0, sigma^2), drawn for each pattern by the Box-Muller transform
 and written in place into that pattern's slice of the trace.  Its uniforms
@@ -30,7 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from atomspa.sched import ADDSUB, MULT, mult_block_state
+from atomspa.sched import ADDSUB, KINDS, MULT, mult_block_state
 
 TRACE_DTYPE = "<f4"
 NOISE_CAP = 5.7682      # bound on |noise| / sigma, see the module docstring
@@ -152,40 +156,42 @@ class Trace:
         return self.meta["samples_per_cycle"] * self.meta["cycles_per_pattern"]
 
 
-def _hamming(a, b):
-    return bin(a ^ b).count("1")
+def window_levels(d_sched, a_sched, params):
+    """Noiseless per-cycle levels of the four pattern windows.
 
-
-def _line_states(schedule, table):
-    """(src, dst) address-line state per cycle with hold-on-idle."""
-    out = []
-    src = dst = 0
-    for ev in schedule.events:
-        if ev.src_name is not None:
-            src = table[ev.src_name]
-            dst = table[ev.dst_names[0]] if ev.dst_names else dst
-        out.append((src, dst))
-    return out
-
-
-def _transition_leak(states, prev_state):
-    """Per-cycle Hamming distance of the (src, dst) address lines."""
-    out = np.empty(len(states), dtype=np.float64)
-    ps, pd = prev_state
-    for i, (s, d) in enumerate(states):
-        out[i] = _hamming(ps, s) + _hamming(pd, d)
-        ps, pd = s, d
-    return out
-
-
-def _base_vector(schedule, params):
+    Returns {(previous kind, kind): levels}, each a TRACE_DTYPE array of
+    cycle_count levels: the base level of the cycle's block states plus
+    alpha times the Hamming distance of the (src, dst) address lines from
+    the previous cycle.  The lines are walked once over the previous kind's
+    events and then this kind's, so they hold across silent cycles and
+    across the window boundary.  Raises ValueError when the schedules
+    disagree on the pattern length.
+    """
+    if d_sched.cycle_count != a_sched.cycle_count:
+        raise ValueError("schedules disagree on the pattern length")
+    n = d_sched.cycle_count
+    sched = {"D": d_sched, "A": a_sched}
     lv = params.levels()
-    spc = params.samples_per_cycle
-    out = np.empty(schedule.cycle_count * spc, dtype=np.float64)
-    for i, ev in enumerate(schedule.events):
-        level = (lv[f"mult:{mult_block_state(ev.mult_state)}"]
-                 + lv[f"addsub:{ev.addsub_state}"])
-        out[i * spc : (i + 1) * spc] = level
+    table = params.address_table()
+    out = {}
+    # an overflow to inf is reported by simulate_trace, not as a warning
+    with np.errstate(over="ignore"):
+        for k in KINDS:
+            base = np.array([lv[f"mult:{mult_block_state(ev.mult_state)}"]
+                             + lv[f"addsub:{ev.addsub_state}"]
+                             for ev in sched[k].events])
+            for pk in KINDS:
+                lines, src, dst = [], 0, 0
+                for ev in sched[pk].events + sched[k].events:
+                    if ev.src_name is not None:
+                        src = table[ev.src_name]
+                        dst = table[ev.dst_names[0]] if ev.dst_names else dst
+                    lines.append(src << ADDRESS_BITS | dst)
+                lines = np.array(lines)
+                # the counts are uint8, a dtype an int alpha would keep
+                flips = np.bitwise_count(lines[1:] ^ lines[:-1])[-n:]
+                leak = params.alpha * flips.astype(np.float64)
+                out[(pk, k)] = (base + leak).astype(TRACE_DTYPE)
     return out
 
 
@@ -222,34 +228,18 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
     """
     seq = tuple(seq)
     check_grammar(seq)
-    if d_sched.cycle_count != a_sched.cycle_count:
-        raise ValueError("schedules disagree on the pattern length")
-
+    levels = window_levels(d_sched, a_sched, params)
     spc = params.samples_per_cycle
     spp = d_sched.cycle_count * spc
     _check_memory(spp * len(seq))
-    sched = {"D": d_sched, "A": a_sched}
-    table = params.address_table()
-    lines = {k: _line_states(sched[k], table) for k in sched}
-    base = {k: _base_vector(sched[k], params) for k in sched}
-    # deterministic window per (previous kind, kind); only the first cycle
-    # depends on the previous window
-    window = {}
-    # an overflow to inf is reported by the check below, not as a warning
-    with np.errstate(over="ignore"):
-        for pk in ("D", "A"):
-            for k in ("D", "A"):
-                leak = params.alpha * _transition_leak(lines[k],
-                                                       lines[pk][-1])
-                window[(pk, k)] = (base[k] + np.repeat(leak, spc)).astype(
-                    TRACE_DTYPE)
-    # every sample lies within NOISE_CAP * sigma of its window
-    peak = (max(float(np.abs(w).max()) for w in window.values())
+    # every sample lies within NOISE_CAP * sigma of its window's levels
+    peak = (max(float(np.abs(lv).max()) for lv in levels.values())
             + NOISE_CAP * params.sigma)
     if not peak <= float(np.finfo(TRACE_DTYPE).max):
         raise ValueError(f"samples would reach {peak:.4g}, beyond the "
                          f"float32 range; lower alpha, sigma or the base "
                          f"levels")
+    window = {kinds: np.repeat(lv, spc) for kinds, lv in levels.items()}
 
     total = np.empty(spp * len(seq), dtype=TRACE_DTYPE)
     # Box-Muller: each (radius, angle) pair gives one cosine and one sine

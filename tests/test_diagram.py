@@ -38,3 +38,21 @@ def test_classical_grid_labels_all_sixteen_partial_products():
     assert sorted(set(steps)) == sorted(
         [f"PP{i}" for i in range(1, 10)] + [f"P{i}" for i in range(10, 17)])
     assert all(steps.count(s) == 10 for s in set(steps))
+
+
+def test_grid_names_both_receivers_of_a_forwarded_value():
+    # a forwarding write-back latches a register and a unit in one cycle
+    forwarded = 0
+    for sched in build_schedules():
+        lines = text_grid(sched).splitlines()[1:]
+        assert len({len(line) for line in lines}) == 1
+        rows = {line[:9].strip(): [line[i:i + 4].strip()
+                                   for i in range(9, len(line), 4)]
+                for line in lines}
+        for ev in sched.events:
+            if len(ev.dst_names) == 2:
+                forwarded += 1
+                reg, unit = ev.dst_names
+                assert rows["bus dst"][ev.cycle - 1] == reg
+                assert rows["fwd dst"][ev.cycle - 1] == unit[:3]
+    assert forwarded == 8

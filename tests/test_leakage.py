@@ -1,5 +1,6 @@
 """Trace synthesis: base profiles, transition leakage, determinism, I/O."""
 
+import functools
 import hashlib
 import math
 
@@ -10,11 +11,11 @@ from scipy import stats
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
                            scalar_for_pattern_counts)
-from atomspa.sched import (ADDSUB, MULT, addressing_diff, build_schedules,
-                           mult_block_state)
+from atomspa.sched import (ADDSUB, MULT, ScheduleError, Timing,
+                           addressing_diff, build_schedules, mult_block_state)
 from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
                              LeakageParams, Trace, read_trace, simulate_trace,
-                             write_trace)
+                             window_levels, write_trace)
 from atomspa.spa import recover_scalar, run_attack
 
 D, A = build_schedules()
@@ -33,6 +34,31 @@ def windows(p):
     after D and window 3 is D after A."""
     t = simulate_trace(("D", "D", "A", "D"), D, A, p)
     return t.samples.reshape(4, -1)
+
+
+@functools.cache
+def timing_grid():
+    """(timing, d, a) for every schedulable config of mul_plan x overlap x
+    mult_wb_lag 0..19."""
+    out = []
+    for plan in ("karatsuba4", "classical"):
+        for overlap in (True, False):
+            for lag in range(20):
+                t = Timing(mul_plan=plan, overlap=overlap, mult_wb_lag=lag)
+                try:
+                    out.append((t, *build_schedules(t)))
+                except ScheduleError:
+                    pass
+    assert len(out) == 56
+    return out
+
+
+@functools.cache
+def reference_sequence():
+    """The 400 patterns of the reference scalar."""
+    curve = get_curve("P-256")
+    k = scalar_for_pattern_counts(256, 145, curve, seed=1)
+    return tuple(k_mul(k, AffinePoint(curve.gx, curve.gy), curve)[1])
 
 
 def test_zero_leak_zero_noise_is_pure_base_profile():
@@ -167,6 +193,59 @@ def test_first_window_starts_from_its_own_kinds_line_state():
     assert np.array_equal(w[0], w[1])
 
 
+def test_noiseless_trace_repeats_the_window_levels():
+    p = params()
+    lv = window_levels(D, A, p)
+    assert set(lv) == {("D", "D"), ("D", "A"), ("A", "D"), ("A", "A")}
+    seq = ("D", "D", "A", "D", "A", "D")
+    want = np.concatenate([np.repeat(lv[pk, k], SPC)
+                           for pk, k in zip(seq[:1] + seq[:-1], seq)])
+    assert np.array_equal(simulate_trace(seq, D, A, p).samples, want)
+
+
+def test_schedules_of_different_lengths_rejected():
+    _, classical_a = build_schedules(Timing(mul_plan="classical"))
+    with pytest.raises(ValueError, match="pattern length"):
+        window_levels(D, classical_a, params())
+    with pytest.raises(ValueError, match="pattern length"):
+        simulate_trace(("D", "A"), D, classical_a, params())
+
+
+def test_address_lines_hold_across_the_window_boundary():
+    # Hamming distance is unchanged by a common XOR mask, so masking every
+    # code of the table changes no level, provided no window starts its
+    # lines from a fixed code; and a silent cycle, at the window boundary
+    # too, flips no line, so it shows its base level alone
+    mask = 0b101101
+    masked = {name: c ^ mask for name, c in DEFAULT_ADDRESS_CODES.items()}
+    for timing, d, a in timing_grid():
+        lv = window_levels(d, a, params())
+        lv_masked = window_levels(d, a, params(addresses=masked))
+        base = window_levels(d, a, params(alpha=0.0))
+        for pk, k in lv:
+            assert np.array_equal(lv[pk, k], lv_masked[pk, k]), timing
+            silent = [ev.src_name is None for ev in (d, a)[k == "A"].events]
+            assert np.array_equal(lv[pk, k][silent], base[pk, k][silent]), \
+                timing
+
+
+def test_level_model_predicts_the_attacks_leaking_cycles():
+    # a cycle leaks when both D windows (after a D and after an A) differ
+    # in level from the A window (always after a D); at zero noise those
+    # are exactly the cycles where some sample classifies every pattern
+    seq = reference_sequence()
+    p = params(samples_per_cycle=1)
+    for timing, d, a in timing_grid():
+        lv = window_levels(d, a, p)
+        leaks = (lv["D", "D"] != lv["D", "A"]) & (lv["A", "D"] != lv["D", "A"])
+        report = run_attack(simulate_trace(seq, d, a, p))
+        assert np.array_equal(leaks, report.per_cycle_max >= 100.0), timing
+        if timing == Timing():
+            cycles = set(np.flatnonzero(leaks) + 1)
+            assert len(cycles) == 53
+            assert DIFF_CYCLES < cycles
+
+
 def test_noise_is_float32_normal_scaled_by_sigma():
     seq = ("D", "A", "D", "D", "A", "D", "A", "D")
     sigma = 0.3
@@ -202,10 +281,8 @@ def test_noise_is_standard_normal_up_to_its_cap():
 def test_reference_trace_at_zero_noise_is_pinned():
     # the deterministic part (base levels, leak, window order) of the
     # reference scenario: 400 patterns, 300 samples per cycle
-    curve = get_curve("P-256")
-    k = scalar_for_pattern_counts(256, 145, curve, seed=1)
-    _, seq = k_mul(k, AffinePoint(curve.gx, curve.gy), curve)
-    t = simulate_trace(seq, D, A, params(samples_per_cycle=300))
+    t = simulate_trace(reference_sequence(), D, A,
+                       params(samples_per_cycle=300))
     assert t.samples.size == 400 * 109 * 300
     assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
         "a48bfdafc5944b759621926c4ba876b42c87879e13b14aff77e533b07e795db4")
