@@ -12,6 +12,10 @@ The addition sequence contains three filler operations (2, 5, 8) whose
 results are overwritten before any use; they exist to keep the kind sequence
 aligned with the doubling.  The curve constant a = -3 is baked into the
 doubling algebra (3(X^2 - Z^4) = 3X^2 + aZ^4).
+
+k_mul executes a scalar as a D/A pattern sequence, and recover_scalar reads
+the scalar back; the latter is the one owner of the double-and-add grammar
+that the trace simulator, the trace reader and the attack all apply.
 """
 
 from dataclasses import dataclass
@@ -147,13 +151,10 @@ class ScalarK:
 
     @classmethod
     def from_string(cls, s):
-        """Parse '0x..' / hex / '0b..' binary scalar text."""
+        """Parse scalar text: binary with a '0b' prefix, hexadecimal
+        otherwise ('0x' optional)."""
         s = s.strip().lower()
         if s.startswith("0b"):
-            return cls.from_int(int(s, 2))
-        if s.startswith("0x"):
-            return cls.from_int(int(s, 16))
-        if set(s) <= {"0", "1"} and len(s) > 16:
             return cls.from_int(int(s, 2))
         return cls.from_int(int(s, 16))
 
@@ -262,8 +263,9 @@ def k_mul(k, point, curve):
 
     Returns the affine result and the executed pattern sequence ('D'/'A'
     strings), which is the ground truth the side-channel pipeline evaluates
-    against.  Degenerate intermediate states (infinity, P = +-Q) abort with
-    a diagnostic; pick a different scalar or base point.
+    against; recover_scalar reads k back from it.  Degenerate intermediate
+    states (infinity, P = +-Q) abort with a diagnostic; pick a different
+    scalar or base point.
     """
     if isinstance(k, int):
         k = ScalarK.from_int(k)
@@ -287,6 +289,27 @@ def k_mul(k, point, curve):
             regs, _ = run_pattern("A", regs, curve, point)
             seq.append("A")
     return to_affine(regs, curve), tuple(seq)
+
+
+def recover_scalar(da_sequence):
+    """Read the scalar bits off a D/A pattern sequence, inverting k_mul.
+
+    This is the one check of the double-and-add grammar: every pattern is
+    a doubling 'D' (a 0 bit), or an addition 'A' right after a doubling,
+    which turns that doubling's bit into a 1.  The leading 1 is implicit.
+    Raises ValueError for any other symbol.
+    """
+    bits = [1]
+    for i, k in enumerate(da_sequence):
+        if k == "D":
+            bits.append(0)
+        elif k == "A" and i and da_sequence[i - 1] == "D":
+            bits[-1] = 1
+        elif k == "A":
+            raise ValueError(f"addition without a preceding doubling at {i}")
+        else:
+            raise ValueError(f"bad pattern kind {k!r} at {i}")
+    return tuple(bits)
 
 
 # --- independent affine reference (used only for verification) ---

@@ -13,12 +13,12 @@ from dataclasses import fields
 from typing import NamedTuple
 
 from atomspa.field import Curve, get_curve
-from atomspa.atoms import (AffinePoint, ScalarK, k_mul,
+from atomspa.atoms import (AffinePoint, ScalarK, k_mul, recover_scalar,
                            scalar_for_pattern_counts)
 from atomspa.sched import Timing, build_schedules, addressing_diff
 from atomspa.leakage import LeakageParams, simulate_trace, write_trace, \
     read_trace
-from atomspa.spa import recover_scalar, run_attack, write_report
+from atomspa.spa import run_attack, write_report
 from atomspa.diagram import render_diagram, schedule_svg
 
 EXIT_OK = 0

@@ -2,13 +2,15 @@
 
 Top layer: register activity (addressing marks and the store cycle that
 follows).  Middle layer: the add/subtract unit (loads and the processing
-cycle, colored by operation).  Bottom layer: the multiplier (partial
-products in red, the output cycle in light red, waiting cycles pale).  An
-overlay variant marks every cycle whose bus addressing differs between the
-doubling and addition patterns.
+cycle, colored by the operation the schedule places there).  Bottom layer:
+the multiplier (partial products in red, the output cycle in light red,
+waiting cycles pale).  An overlay variant marks every cycle whose bus
+addressing differs between the doubling and addition patterns.  Every color
+and label is read off the schedule's cycle events; nothing here re-derives
+what the scheduler decided.
 """
 
-from atomspa.atoms import PATTERNS, REGISTER_NAMES
+from atomspa.atoms import REGISTER_NAMES
 from atomspa.sched import mult_block_state
 
 MULT_COLORS = {
@@ -17,28 +19,6 @@ MULT_COLORS = {
 }
 
 ADDSUB_COLORS = {"add": "#6f8fd8", "sub": "#c77bc9"}
-
-
-def _op_kind_by_cycle(schedule):
-    """Map addsub activity cycles to 'add'/'sub' of the owning operation.
-
-    An operation is found by its second load: only the first port takes a
-    value forwarded in a write-back, which carries the producer's op index.
-    Its first load and its processing cycle flank that load, and the first
-    load of the next operation may take over the processing cycle.
-    """
-    kinds = {op.index: op.kind for op in PATTERNS[schedule.kind]}
-    n = schedule.cycle_count
-    load2 = {}
-    for op_index, roles in schedule.op_cycles.items():
-        if kinds.get(op_index) in ("add", "sub"):
-            for c in roles.get("fetch2", ()) + roles.get("latch2", ()):
-                load2[c] = kinds[op_index]
-    # the window repeats, so its first cycle follows its last
-    out = {c % n + 1: kind for c, kind in load2.items()}
-    for c, kind in load2.items():
-        out[c - 1 or n] = out[c] = kind
-    return out
 
 
 def text_grid(schedule):
@@ -70,7 +50,7 @@ def text_grid(schedule):
         rows["reg store"].append("+".join(ev.reg_store))
         rows["add/sub  "].append(short.get(ev.addsub_state, ev.addsub_state))
         m = ev.mult_state
-        if m.startswith("pp"):
+        if mult_block_state(m) == "pp":
             # three characters a cell: PP1..PP9, then P10, P11, ...
             m = m.upper() if len(m) == 3 else f"P{m[2:]}"
         rows["mult     "].append(short.get(m, m))
@@ -112,7 +92,6 @@ def schedule_svg(schedule, overlay_diff=None, cell=11, title=None):
     out.append(f'<text x="6" y="{addsub_y + 14}">add/sub</text>')
     out.append(f'<text x="6" y="{mult_y + 14}">mult</text>')
 
-    kinds = _op_kind_by_cycle(schedule)
     for ev in schedule.events:
         x = left + (ev.cycle - 1) * cell
         # register layer: addressing (green) and stores (grey)
@@ -130,7 +109,7 @@ def schedule_svg(schedule, overlay_diff=None, cell=11, title=None):
                            f'height="{reg_h-1}" fill="#b5b5b5"/>')
         # add/sub layer
         if ev.addsub_state != "idle":
-            color = ADDSUB_COLORS.get(kinds.get(ev.cycle, "add"))
+            color = ADDSUB_COLORS[ev.addsub_op]
             light = ev.addsub_state != "store"
             out.append(f'<rect x="{x}" y="{addsub_y}" width="{cell-1}" '
                        f'height="21" fill="{color}" '

@@ -34,6 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from atomspa.atoms import recover_scalar
 from atomspa.sched import ADDSUB, KINDS, MULT, mult_block_state
 
 TRACE_DTYPE = "<f4"
@@ -195,21 +196,6 @@ def window_levels(d_sched, a_sched, params):
     return out
 
 
-def check_grammar(seq):
-    """Raise ValueError unless seq is a non-empty run of 'D'/'A' patterns
-    that follows the double-and-add grammar: it starts with a doubling and
-    additions only ever follow a doubling."""
-    if not seq:
-        raise ValueError("empty pattern sequence")
-    prev = None
-    for k in seq:
-        if k not in ("D", "A"):
-            raise ValueError(f"bad pattern kind {k!r}")
-        if k == "A" and prev != "D":
-            raise ValueError("addition without a preceding doubling")
-        prev = k
-
-
 def _check_memory(samples):
     """Refuse a trace that cannot fit in this machine's physical memory."""
     need = samples * np.dtype(TRACE_DTYPE).itemsize
@@ -222,12 +208,15 @@ def _check_memory(samples):
 def simulate_trace(seq, d_sched, a_sched, params, workers=1):
     """Concatenate per-pattern simulations with address carry-over.
 
-    seq is the executed pattern sequence ('D'/'A' strings); see check_grammar.
-    Raises ValueError for a trace larger than physical memory or for
-    samples beyond the float32 range.
+    seq is the executed pattern sequence ('D'/'A' strings) of k_mul.
+    Raises ValueError for an empty sequence, one that breaks the
+    double-and-add grammar (see recover_scalar), a trace larger than
+    physical memory or samples beyond the float32 range.
     """
     seq = tuple(seq)
-    check_grammar(seq)
+    if not seq:
+        raise ValueError("empty pattern sequence")
+    recover_scalar(seq)
     levels = window_levels(d_sched, a_sched, params)
     spc = params.samples_per_cycle
     spp = d_sched.cycle_count * spc
@@ -346,7 +335,7 @@ def read_trace(trace_path, meta_path):
             if not isinstance(truth, str) or len(truth) != meta["pattern_count"]:
                 raise ValueError(f"need a D/A string of length pattern_count "
                                  f"({meta['pattern_count']}), not {truth!r:.40}")
-            check_grammar(truth)
+            recover_scalar(truth)
         except ValueError as e:
             raise IOError(f"trace metadata ground_truth: {e}") from e
     expect = (meta["samples_per_cycle"] * meta["cycles_per_pattern"]

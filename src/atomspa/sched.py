@@ -14,11 +14,13 @@ Both atomic patterns must exhibit the identical block-state sequence, so
 both are placed together on one timeline: each operation of the doubling and
 the operation at the same position of the addition take the same cycles,
 the first ones where the operands of both are ready, and only the registers
-they address differ.  The block states are recorded once, as each operation
-is placed.  The schedule is the steady-state window between consecutive first-multiplication starts: tail
-work of a pattern (final write-back, the register copy, the last subtraction)
-spills over the boundary and lands at the head of the next window, which is
-why the window's first cycle carries the previous final-product write-back.
+they address differ.  The block states, and the add/sub operation that owns
+each cycle of that unit, are recorded once, as each operation is placed.
+The schedule is the steady-state window between consecutive
+first-multiplication starts: tail work of a pattern (final write-back, the
+register copy, the last subtraction) spills over the boundary and lands at
+the head of the next window, which is why the window's first cycle carries
+the previous final-product write-back.
 """
 
 from dataclasses import dataclass
@@ -60,8 +62,7 @@ class Timing:
                 f"mult_wb_lag must be an int >= 0, not {self.mult_wb_lag!r}")
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     src: str
     dsts: tuple  # receiver names; at most one register plus possibly a block port
     op_index: int
@@ -75,6 +76,7 @@ class CycleEvent:
     dst_names: tuple
     mult_state: str
     addsub_state: str
+    addsub_op: str           # "add"/"sub" op owning the add/sub cycle; None if idle
     reg_store: tuple         # registers latching a new value this cycle
 
 
@@ -149,6 +151,7 @@ class _Scheduler:
                       ADDSUB: 1}
         self.ps = {k: _PatternState() for k in KINDS}
         self.states = {MULT: {}, ADDSUB: {}}  # block -> absolute cycle -> state
+        self.addsub_ops = {}       # absolute cycle -> kind of the add/sub op there
         self.last_step = {}        # block -> last compute cycle of its latest op
         self.spans = []            # (instance, op_index, f1, f2) of each unit op
         self.copy_cycles = []      # (instance, op_index, cycle)
@@ -316,7 +319,10 @@ class _Scheduler:
             if ops["D"].index == 1:
                 self.window_starts.append(first)
         else:
+            # the next op's first load may take over the store cycle
             states.update({f1: "load1", f1 + 1: "load2", last: "store"})
+            self.addsub_ops.update(dict.fromkeys((f1, f1 + 1, last),
+                                                 ops["D"].kind))
         self.last_step[block] = last
         self.spans.append((instance, ops["D"].index, f1, f1 + 1))
 
@@ -409,7 +415,8 @@ def _window(sched, kind, start, period):
         silent = tx is None or tx.role == "latch2"
         events.append(CycleEvent(rel, None if silent else tx.src,
                                  () if silent else tx.dsts, mult_state,
-                                 sched.states[ADDSUB].get(c, "idle"), store))
+                                 sched.states[ADDSUB].get(c, "idle"),
+                                 sched.addsub_ops.get(c), store))
         if tx is not None:
             roles = op_cycles.setdefault(tx.op_index, {})
             roles.setdefault(tx.role, []).append(rel)

@@ -8,7 +8,10 @@ windows labelled with the right pattern kind; candidates at offsets whose
 addressing differs between the two kinds reach 100% while offsets with
 identical addressing hover at the majority-class baseline.  Scalar recovery
 resolves the label polarity through the double-and-add grammar (no addition
-without a preceding doubling) and reads bits off the pattern sequence.
+without a preceding doubling) and reads bits off the pattern sequence with
+atoms.recover_scalar.  Without ground truth in the trace metadata there is
+no correctness to measure: the attack still recovers, and its report holds
+only the summary.
 """
 
 import os
@@ -16,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from atomspa.atoms import ScalarK
+from atomspa.atoms import ScalarK, recover_scalar
 
 
 @dataclass
 class AttackReport:
     pattern_count: int
     samples_per_pattern: int
+    # the three curves are None without ground truth
     correctness_curve: np.ndarray      # as-is percentages, one per sample
     folded_curve: np.ndarray           # max of as-is and flipped
     perfect_count: int
@@ -43,13 +47,15 @@ class AttackReport:
         return self.recovered_bits is not None
 
     def summary_lines(self):
+        blind = self.ground_truth is None
+        na = "n/a (no ground truth)"
         lines = [
             f"patterns            : {self.pattern_count}",
             f"samples per pattern : {self.samples_per_pattern}",
             f"key candidates      : {self.samples_per_pattern}",
-            f"perfect candidates  : {self.perfect_count}"
-            + ("" if self.ground_truth else " (folded, blind n/a)"),
-            f"max correctness     : {self.folded_curve.max():.2f}%",
+            f"perfect candidates  : {na if blind else self.perfect_count}",
+            "max correctness     : "
+            + (na if blind else f"{self.folded_curve.max():.2f}%"),
             f"recovered           : {'yes' if self.recovered else 'no'}"
             + (f" (support {self.recovered_support}, sample {self.best_sample})"
                if self.recovered else ""),
@@ -123,28 +129,6 @@ def correctness_curve(labels, truth):
     return 100.0 * (t.size - wrong) / t.size
 
 
-def recover_scalar(da_sequence):
-    """Read scalar bits from a D/A sequence (implicit leading 1).
-
-    Each loop iteration is a doubling, optionally followed by an addition
-    for a 1 bit.  An addition without a preceding doubling is a grammar
-    violation and raises.
-    """
-    bits = [1]
-    i = 0
-    n = len(da_sequence)
-    while i < n:
-        if da_sequence[i] != "D":
-            raise ValueError(f"addition without preceding doubling at {i}")
-        if i + 1 < n and da_sequence[i + 1] == "A":
-            bits.append(1)
-            i += 2
-        else:
-            bits.append(0)
-            i += 1
-    return tuple(bits)
-
-
 def _first_bits(n, nbytes):
     """Packed mask, nbytes long, of the first n rows of a label column."""
     return np.packbits(np.arange(8 * nbytes) < n)
@@ -201,23 +185,16 @@ def run_attack(trace):
     labels = classify_matrix(matrix, threshold)
 
     truth = trace.meta.get("ground_truth")
+    curve = folded = per_cycle = None
+    perfect = 0
     if truth is not None:
         curve = correctness_curve(labels, truth)
         folded = np.maximum(curve, 100.0 - curve)
         perfect = int((folded >= 100.0).sum())
-    else:
-        curve = np.full(matrix.shape[1], np.nan)
-        folded = curve
-        perfect = 0
+        per_cycle = folded.reshape(trace.meta["cycles_per_pattern"],
+                                   -1).max(axis=1)
 
     bits, support, best_j = _blind_recovery(labels, matrix.shape[0])
-
-    spc = trace.meta["samples_per_cycle"]
-    cycles = trace.meta["cycles_per_pattern"]
-    if truth is not None:
-        per_cycle = folded.reshape(cycles, spc).max(axis=1)
-    else:
-        per_cycle = np.full(cycles, np.nan)
 
     return AttackReport(
         pattern_count=matrix.shape[0],
@@ -234,15 +211,18 @@ def run_attack(trace):
 
 
 def write_report(report, out_dir, stem="attack"):
-    """Text summary, per-sample CSV, and the correctness-curve SVG."""
+    """Text summary, per-sample CSV, and the correctness-curve SVG; only
+    the summary without ground truth.  Returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     txt = os.path.join(out_dir, f"{stem}_summary.txt")
     with open(txt, "w") as f:
         f.write("\n".join(report.summary_lines()) + "\n")
+    if report.ground_truth is None:
+        return [txt]
     csv_path = os.path.join(out_dir, f"{stem}_correctness.csv")
     spc = report.samples_per_pattern // report.per_cycle_max.size
-    # a curve takes at most pattern_count + 1 distinct values (all NaN
-    # without ground truth), so each is formatted once
+    # a curve takes at most pattern_count + 1 distinct values, so each is
+    # formatted once
     n = report.correctness_curve.size
     values, idx = np.unique(
         np.concatenate([report.correctness_curve, report.folded_curve]),

@@ -202,6 +202,17 @@ def test_explicit_scalar_hex(tmp_path, capsys):
     assert "7 (4 doublings, 3 additions)" in text
 
 
+def test_scalar_string_of_ones_and_zeros_is_hex(tmp_path):
+    # only a 0b prefix makes scalar text binary, whatever its digits
+    cfg = tmp_path / "cfg.json"
+    for text, value in (("10000000000000000000000000000001", 2**124 + 1),
+                        ("0x1011", 0x1011), ("0b1011", 0b1011)):
+        cfg.write_text(json.dumps({"scalar": {"hex": text}}))
+        assert load_scenario(cfg).scalar.value == value, text
+    cfg.write_text(json.dumps({"scalar": "11"}))
+    assert load_scenario(cfg).scalar.value == 0x11
+
+
 def test_diagram_outputs(tmp_path, capsys):
     out = tmp_path / "dia"
     assert main(["diagram", "--out-dir", str(out)]) == EXIT_OK

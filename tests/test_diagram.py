@@ -1,24 +1,52 @@
 """Schedule diagrams: add/sub colours and the text grid."""
 
-from atomspa.diagram import _op_kind_by_cycle, text_grid
-from atomspa.sched import ScheduleError, Timing, build_schedules
+import functools
+import hashlib
+
+from atomspa.diagram import schedule_svg, text_grid
+from atomspa.sched import (ScheduleError, Timing, addressing_diff,
+                           build_schedules)
 
 
-def test_both_patterns_colour_each_add_sub_cycle_alike():
-    # every schedulable config of mul_plan x overlap x mult_wb_lag 0..19
-    built = 0
+@functools.cache
+def _schedulable_grid():
+    """(timing, d, a) of every schedulable config of mul_plan x overlap x
+    mult_wb_lag 0..19."""
+    grid = []
     for plan in ("karatsuba4", "classical"):
         for overlap in (True, False):
             for lag in range(20):
+                t = Timing(mul_plan=plan, overlap=overlap, mult_wb_lag=lag)
                 try:
-                    d, a = build_schedules(Timing(
-                        mul_plan=plan, overlap=overlap, mult_wb_lag=lag))
+                    grid.append((t, *build_schedules(t)))
                 except ScheduleError:
                     continue
-                built += 1
-                assert _op_kind_by_cycle(d) == _op_kind_by_cycle(a), \
-                    (plan, overlap, lag)
-    assert built == 56
+    return tuple(grid)
+
+
+def test_both_patterns_colour_each_add_sub_cycle_alike():
+    assert len(_schedulable_grid()) == 56
+    for t, d, a in _schedulable_grid():
+        ops = [ev.addsub_op for ev in d.events]
+        assert ops == [ev.addsub_op for ev in a.events], t
+        # an operation owns exactly the cycles where the unit is busy
+        assert all((op is None) == (ev.addsub_state == "idle")
+                   and op in (None, "add", "sub")
+                   for op, ev in zip(ops, d.events)), t
+
+
+def test_diagrams_are_pinned():
+    # every byte of both grids, both SVGs and the overlay over the grid
+    h = hashlib.sha256()
+    for _t, d, a in _schedulable_grid():
+        for s in (d, a):
+            h.update(schedule_svg(s).encode())
+            h.update(text_grid(s).encode())
+        h.update(schedule_svg(d, overlay_diff=addressing_diff(d, a),
+                              title="doubling with addressing differences")
+                 .encode())
+    assert h.hexdigest() == (
+        "fb5d1a8a9e6045c146bf9cba3cc5edef666eb5708099726fd6397d9356b20292")
 
 
 def test_forwarded_first_operand_keeps_its_operation_colour():
@@ -26,7 +54,7 @@ def test_forwarded_first_operand_keeps_its_operation_colour():
     # in D, op 13's product reaches op 14 (sub) in its write-back at 72
     assert d.op_cycles[13]["writeback+load"] == (72,)
     assert d.op_cycles[14]["fetch2"] == (73,)
-    assert _op_kind_by_cycle(d)[72] == _op_kind_by_cycle(a)[72] == "sub"
+    assert d.events[71].addsub_op == a.events[71].addsub_op == "sub"
 
 
 def test_classical_grid_labels_all_sixteen_partial_products():

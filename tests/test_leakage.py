@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,13 +11,13 @@ from scipy import stats
 
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
-                           scalar_for_pattern_counts)
+                           recover_scalar, scalar_for_pattern_counts)
 from atomspa.sched import (ADDSUB, MULT, ScheduleError, Timing,
                            addressing_diff, build_schedules, mult_block_state)
 from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
                              LeakageParams, Trace, read_trace, simulate_trace,
                              window_levels, write_trace)
-from atomspa.spa import recover_scalar, run_attack
+from atomspa.spa import run_attack
 
 D, A = build_schedules()
 DIFF_CYCLES = {c for c, _ in addressing_diff(D, A)}
@@ -174,6 +175,17 @@ def test_sequence_grammar_enforced():
         simulate_trace(("D", "A", "A"), D, A, p)
     with pytest.raises(ValueError):
         simulate_trace(("D", "X"), D, A, p)
+    # the simulator rejects exactly what the grammar's owner rejects
+    p = params(samples_per_cycle=1)
+    for n in range(1, 7):
+        for seq in itertools.product("DAX", repeat=n):
+            try:
+                recover_scalar(seq)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    simulate_trace(seq, D, A, p)
+            else:
+                simulate_trace(seq, D, A, p)
 
 
 def test_boundary_leak_crosses_patterns():

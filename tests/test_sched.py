@@ -28,6 +28,8 @@ def test_block_state_sequences_identical():
         [e.mult_state for e in A_SCHED.events]
     assert [e.addsub_state for e in D_SCHED.events] == \
         [e.addsub_state for e in A_SCHED.events]
+    assert [e.addsub_op for e in D_SCHED.events] == \
+        [e.addsub_op for e in A_SCHED.events]
 
 
 def test_ten_multiplications_per_pattern():

@@ -319,18 +319,33 @@ def test_report_files(tmp_path):
     svg = (tmp_path / "attack_correctness.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
     # the CSV is byte-identical to a csv.writer rendering of the report:
-    # here (10 patterns, steps of 10%), without ground truth (all nan) and
-    # for 7 patterns, whose percentages are not multiples of 0.25
-    blind = Trace(trace.samples, {k: v for k, v in trace.meta.items()
-                                  if k != "ground_truth"})
+    # here (10 patterns, steps of 10%) and for 7 patterns, whose
+    # percentages are not multiples of 0.25
     seven, seq = small_trace(k=0b11011, sigma=0.3, seed=2)
     assert len(seq) == 7
-    reports = (rep, run_attack(blind), run_attack(seven))
-    for i, r in enumerate(reports):
+    for i, r in enumerate((rep, run_attack(seven))):
         write_report(r, tmp_path / str(i))
         got = (tmp_path / str(i) / "attack_correctness.csv").read_bytes()
         assert got == _csv_rendering(r)
-    assert b",nan,nan\r\n" in _csv_rendering(reports[1])
+
+
+def test_blind_report_is_only_the_summary(tmp_path):
+    from atomspa.spa import write_report
+
+    # without ground truth there is no correctness to tabulate or plot
+    trace, _ = small_trace(sigma=0.05, seed=1)
+    blind = run_attack(Trace(trace.samples, {
+        k: v for k, v in trace.meta.items() if k != "ground_truth"}))
+    assert blind.recovered
+    assert blind.folded_curve is None and blind.per_cycle_max is None
+    lines = blind.summary_lines()
+    assert "perfect candidates  : n/a (no ground truth)" in lines
+    assert "max correctness     : n/a (no ground truth)" in lines
+    paths = write_report(blind, tmp_path)
+    assert paths == [str(tmp_path / "attack_summary.txt")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["attack_summary.txt"]
+    text = (tmp_path / "attack_summary.txt").read_text()
+    assert text == "\n".join(lines) + "\n" and "nan" not in text
 
 
 def _svg_points(curve, width=1000):
@@ -352,13 +367,9 @@ def test_correctness_svg_matches_a_per_point_rendering():
     from atomspa.spa import correctness_svg
 
     trace, _ = small_trace(sigma=0.05, seed=1)
-    blind = Trace(trace.samples, {k: v for k, v in trace.meta.items()
-                                  if k != "ground_truth"})
     # a reference-sized curve, where the polyline keeps every 17th sample
     wide = np.random.default_rng(0).uniform(0, 100, 32700)
-    reports = (run_attack(trace), run_attack(blind),
-               SimpleNamespace(folded_curve=wide))
-    for rep in reports:
+    for rep in (run_attack(trace), SimpleNamespace(folded_curve=wide)):
         svg = correctness_svg(rep)
         assert f'<polyline points="{_svg_points(rep.folded_curve)}" ' in svg
-    assert "45.0,nan 45.7,nan" in _svg_points(reports[1].folded_curve)
+        assert "nan" not in svg
