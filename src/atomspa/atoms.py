@@ -235,15 +235,13 @@ def _check_addition_input(regs, curve, q):
         raise ValueError("P = +-Q is outside the pattern formulas")
 
 
-def pattern_double(regs, curve, validate=True):
-    if validate:
-        _check_doubling_input(regs, curve)
+def pattern_double(regs, curve):
+    _check_doubling_input(regs, curve)
     return run_pattern("D", regs, curve)
 
 
-def pattern_add(regs, curve, q, validate=True):
-    if validate:
-        _check_addition_input(regs, curve, q)
+def pattern_add(regs, curve, q):
+    _check_addition_input(regs, curve, q)
     return run_pattern("A", regs, curve, q)
 
 

@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
 
 # the keys each object section accepts; anything else is a misspelling
 SECTION_KEYS = {
-    "scalar": {"hex", *DEFAULT_CONFIG["scalar"]},
+    "scalar": set(DEFAULT_CONFIG["scalar"]),
     "base_point": {"x", "y"},
     "timing": {f.name for f in fields(Timing)},
     "leakage": {f.name for f in fields(LeakageParams)},
@@ -78,9 +78,6 @@ def load_scenario(path=None, seed=None):
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError(f"config must be a JSON object, not {user!r:.40}")
-    timing = user.get("timing", {})
-    if isinstance(timing, dict) and "addresses" in timing:
-        raise ConfigError("timing.addresses has moved to leakage.addresses")
     # before any default fills in, which would hide a misspelt key
     unknown = [key for key in user if key not in DEFAULT_CONFIG]
     for name, known in SECTION_KEYS.items():
@@ -109,12 +106,6 @@ def load_scenario(path=None, seed=None):
 
 
 def _scalar(spec, curve):
-    if isinstance(spec, dict) and "hex" in spec:
-        # scalar.hex names the scalar outright, so it takes no search field
-        mixed = [f"scalar.{k}" for k in DEFAULT_CONFIG["scalar"] if k in spec]
-        if mixed:
-            raise ConfigError(f"scalar.hex conflicts with {mixed}")
-        spec = spec["hex"]
     if isinstance(spec, str):
         k = ScalarK.from_string(spec)
     elif not isinstance(spec, dict):

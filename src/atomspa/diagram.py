@@ -60,10 +60,10 @@ def text_grid(schedule):
     return "\n".join(lines) + "\n"
 
 
-def schedule_svg(schedule, overlay_diff=None, cell=11, title=None):
+def schedule_svg(schedule, overlay_diff=None, title=None):
     """Three-layer SVG; overlay_diff marks differing cycles when given."""
     n = schedule.cycle_count
-    left, top = 70, 30
+    left, top, cell = 70, 30, 11
     reg_rows = list(REGISTER_NAMES)
     reg_h = 10
     layer_gap = 14

@@ -350,15 +350,12 @@ class _Scheduler:
         """May the multiplication at position m issue before ops k..m-1?
 
         Allowed when none of the skipped operations feeds the multiplication
-        an operand or writes its destination, in either pattern.
+        an operand or writes its destination, in either pattern.  Every
+        filler op is an add, so the multiplication's operands are real.
         """
         for kind_idx in (0, 1):
             mop = pairs[m][kind_idx]
-            kind = KINDS[kind_idx]
-            if mop.index in DUMMY_OPS[kind]:
-                reads = set()
-            else:
-                reads = {mop.src1, mop.src2} & set(REGISTER_NAMES)
+            reads = {mop.src1, mop.src2} & set(REGISTER_NAMES)
             for j in range(k, m):
                 jop = pairs[j][kind_idx]
                 if jop.dst in reads or jop.dst == mop.dst:

@@ -210,16 +210,17 @@ def run_attack(trace):
     )
 
 
-def write_report(report, out_dir, stem="attack"):
-    """Text summary, per-sample CSV, and the correctness-curve SVG; only
-    the summary without ground truth.  Returns the paths written."""
+def write_report(report, out_dir):
+    """attack_summary.txt, the per-sample attack_correctness.csv and the
+    curve's attack_correctness.svg; only the summary without ground truth.
+    Returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    txt = os.path.join(out_dir, f"{stem}_summary.txt")
+    txt = os.path.join(out_dir, "attack_summary.txt")
     with open(txt, "w") as f:
         f.write("\n".join(report.summary_lines()) + "\n")
     if report.ground_truth is None:
         return [txt]
-    csv_path = os.path.join(out_dir, f"{stem}_correctness.csv")
+    csv_path = os.path.join(out_dir, "attack_correctness.csv")
     spc = report.samples_per_pattern // report.per_cycle_max.size
     # a curve takes at most pattern_count + 1 distinct values, so each is
     # formatted once
@@ -237,15 +238,15 @@ def write_report(report, out_dir, stem="attack"):
     with open(csv_path, "w", newline="") as f:
         f.write("sample,clock_cycle,correctness_pct,folded_pct\r\n")
         f.write(("%d,%d,%s,%s\r\n" * n) % tuple(fields))
-    svg_path = os.path.join(out_dir, f"{stem}_correctness.svg")
+    svg_path = os.path.join(out_dir, "attack_correctness.svg")
     with open(svg_path, "w") as f:
         f.write(correctness_svg(report))
     return [txt, csv_path, svg_path]
 
 
-def correctness_svg(report, width=1000, height=320):
+def correctness_svg(report):
     """Correctness of every key candidate over the sample offset axis."""
-    margin = 45
+    width, height, margin = 1000, 320, 45
     w = width - 2 * margin
     h = height - 2 * margin
     curve = report.folded_curve

@@ -189,7 +189,7 @@ def test_missing_trace_is_io_error(tmp_path):
 def test_explicit_scalar_hex(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "scalar": {"hex": "0x1b"},
+        "scalar": "0x1b",
         "leakage": {"alpha": 1.0, "sigma": 0.0, "seed": 0,
                     "samples_per_cycle": 12},
     }))
@@ -206,11 +206,10 @@ def test_scalar_string_of_ones_and_zeros_is_hex(tmp_path):
     # only a 0b prefix makes scalar text binary, whatever its digits
     cfg = tmp_path / "cfg.json"
     for text, value in (("10000000000000000000000000000001", 2**124 + 1),
-                        ("0x1011", 0x1011), ("0b1011", 0b1011)):
-        cfg.write_text(json.dumps({"scalar": {"hex": text}}))
+                        ("0x1011", 0x1011), ("0b1011", 0b1011),
+                        ("11", 0x11)):
+        cfg.write_text(json.dumps({"scalar": text}))
         assert load_scenario(cfg).scalar.value == value, text
-    cfg.write_text(json.dumps({"scalar": "11"}))
-    assert load_scenario(cfg).scalar.value == 0x11
 
 
 def test_diagram_outputs(tmp_path, capsys):
@@ -269,7 +268,7 @@ def test_partial_address_override(tmp_path):
     ("leakage", {"base_levels": {"mult:pp": "hi"}}),
     ("leakage", {"base_levels": ["mult:pp"]}),
     ("scalar", 5),
-    ("scalar", {"hex": 27}),
+    ("scalar", 27),
     ("workers", [1]),
     ("scalar", {"bits": [1]}),
     ("scalar", {"pick_seed": [1]}),
@@ -295,16 +294,16 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     ({"scalar": {"bitz": 3}}, "unknown config keys: ['scalar.bitz']"),
     ({"base_point": {"x": 1.5, "y": 2}},
      "coordinates must be ints or hex strings"),
-    ({"timing": {"addresses": {"X1": 5}}}, "moved to leakage.addresses"),
+    ({"timing": {"addresses": {"X1": 5}}},
+     "unknown config keys: ['timing.addresses']"),
     ({"leakage": {"base_levels": {"mult:idle": 1.0}}},
      "unknown base levels: ['mult:idle']"),
-    ({"scalar": {"hex": "0x1b", "bits": 8, "ones_below_msb": 3}},
-     "scalar.hex conflicts with ['scalar.bits', 'scalar.ones_below_msb']"),
+    ({"scalar": {"hex": "0x1b"}}, "unknown config keys: ['scalar.hex']"),
     ({"base_point": {"x": 1, "y": 2, "z": 3}},
      "unknown config keys: ['base_point.z']"),
     ({"leakage": {"alphaa": 1}}, "unknown config keys: ['leakage.alphaa']"),
 ], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle",
-        "scalar-hex-and-bits", "base-point-key", "leakage-key"])
+        "scalar-hex", "base-point-key", "leakage-key"])
 def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -358,6 +357,18 @@ def test_default_scenario_is_the_reference():
     assert (jobs.BITS, jobs.ONES, jobs.SAMPLES_PER_CYCLE) == (
         got.scalar.bit_length, sum(got.scalar.bits[1:]),
         got.leakage.samples_per_cycle)
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    # the JSON example in README is a config the boundary accepts as written
+    readme = (REPO / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example)
+    got = load_scenario(cfg)
+    assert got.leakage == LeakageParams(alpha=1.0, sigma=0.1, seed=7,
+                                        samples_per_cycle=300)
+    assert got.timing == Timing(mul_plan="karatsuba4", overlap=True)
 
 
 # every key the config knows and sometimes a misspelling, with values that

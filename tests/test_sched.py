@@ -132,6 +132,11 @@ def test_op_roles_complete():
 def test_filler_ops_only_in_addition():
     assert DUMMY_OPS["D"] == frozenset()
     assert DUMMY_OPS["A"] == frozenset({2, 5, 8})
+    # the scheduler hoists a multiplication without asking whether it is
+    # a filler: every filler op is an add
+    for kind, indices in DUMMY_OPS.items():
+        assert all(op.kind == "add" for op in PATTERNS[kind]
+                   if op.index in indices)
 
 
 def test_unschedulable_configuration_raises():
