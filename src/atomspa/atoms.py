@@ -153,10 +153,14 @@ class ScalarK:
     def from_string(cls, s):
         """Parse scalar text: binary with a '0b' prefix, hexadecimal
         otherwise ('0x' optional)."""
-        s = s.strip().lower()
-        if s.startswith("0b"):
-            return cls.from_int(int(s, 2))
-        return cls.from_int(int(s, 16))
+        t = s.strip().lower()
+        try:
+            k = int(t, 2) if t.startswith("0b") else int(t, 16)
+        except ValueError:
+            raise ValueError(f"scalar must be hexadecimal text ('0x' "
+                             f"optional) or binary text with a '0b' prefix, "
+                             f"not {s!r:.40}") from None
+        return cls.from_int(k)
 
 
 def fresh_registers(curve, point):
@@ -204,45 +208,6 @@ def run_pattern(kind, regs, curve, q=None):
             regs[op.dst] = a
         log.append(op.dst)
     return regs, log
-
-
-def _check_doubling_input(regs, curve):
-    f = curve.field
-    x, y, z = regs["X1"], regs["X2"], regs["X3"]
-    if z == 0:
-        raise ValueError("doubling input is the point at infinity")
-    if y == 0:
-        raise ValueError("doubling a two-torsion point lands on infinity")
-    z2 = f.sqr(z)
-    z4 = f.sqr(z2)
-    z6 = f.mul(z4, z2)
-    lhs = f.sqr(y)
-    rhs = f.add(f.mul(f.sqr(x), x), f.add(f.mul(curve.a, f.mul(x, z4)), f.mul(curve.b, z6)))
-    if lhs != rhs:
-        raise ValueError("register state is not a curve point")
-
-
-def _check_addition_input(regs, curve, q):
-    f = curve.field
-    q.validate(curve)
-    if q.infinity:
-        raise ValueError("affine addend must not be infinity")
-    _check_doubling_input(dict(regs, X2=regs["X2"] or 1), curve)  # allow y = 0 here
-    if regs["Z1"] != f.sqr(regs["X3"]) or regs["Z2"] != f.mul(regs["Z1"], regs["X3"]):
-        raise ValueError("stale Z-power cache; addition must follow a doubling")
-    # P = +-Q exactly when the affine x coordinates agree: qx Z^2 = X
-    if f.mul(q.x, regs["Z1"]) == regs["X1"]:
-        raise ValueError("P = +-Q is outside the pattern formulas")
-
-
-def pattern_double(regs, curve):
-    _check_doubling_input(regs, curve)
-    return run_pattern("D", regs, curve)
-
-
-def pattern_add(regs, curve, q):
-    _check_addition_input(regs, curve, q)
-    return run_pattern("A", regs, curve, q)
 
 
 def to_affine(regs, curve):

@@ -35,7 +35,6 @@ DEFAULT_CONFIG = {
     "base_point": "generator",
     "timing": {},
     "leakage": {},
-    "workers": 1,
 }
 
 # the keys each object section accepts; anything else is a misspelling
@@ -59,7 +58,6 @@ class Scenario(NamedTuple):
     point: AffinePoint
     timing: Timing
     leakage: LeakageParams
-    workers: int
 
 
 def load_scenario(path=None, seed=None):
@@ -97,12 +95,9 @@ def load_scenario(path=None, seed=None):
     leakage = cfg["leakage"]
     if seed is not None:
         leakage = {**leakage, "seed": seed}
-    workers = cfg["workers"]
-    if type(workers) is not int or workers < 1:
-        raise ConfigError(f"workers must be an int >= 1, not {workers!r}")
     return Scenario(curve, _scalar(cfg["scalar"], curve),
                     _point(cfg["base_point"], curve), Timing(**cfg["timing"]),
-                    LeakageParams(**leakage), workers)
+                    LeakageParams(**leakage))
 
 
 def _scalar(spec, curve):
@@ -124,30 +119,35 @@ def _scalar(spec, curve):
                 f"{bits - 1} free positions")
         k = scalar_for_pattern_counts(bits, ones, curve,
                                       seed=spec["pick_seed"])
-    if not (1 <= k.value < curve.n):
-        raise ConfigError("scalar outside [1, n)")
+    if k.value < 2:
+        raise ConfigError("scalar must be at least 2: k = 1 executes no "
+                          "pattern")
+    if k.value >= curve.n:
+        raise ConfigError("scalar outside [2, n)")
     return k
 
 
 def _point(spec, curve):
     if spec == "generator":
         return AffinePoint(curve.gx, curve.gy)
+    if not isinstance(spec, dict) or set(spec) != {"x", "y"}:
+        raise ConfigError(f'base_point must be "generator" or an object with '
+                          f'x and y, not {spec!r:.40}')
     try:
         x, y = (int(v, 16) if isinstance(v, str) else v
                 for v in (spec["x"], spec["y"]))
         if type(x) is not int or type(y) is not int:
             raise ValueError("coordinates must be ints or hex strings")
         return AffinePoint(x, y).validate(curve)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad base point: {e}") from e
 
 
 def cmd_simulate(args):
-    curve, k, point, timing, params, workers = load_scenario(args.config,
-                                                             args.seed)
+    curve, k, point, timing, params = load_scenario(args.config, args.seed)
     d, a = build_schedules(timing)
     _result, seq = k_mul(k, point, curve)
-    trace = simulate_trace(seq, d, a, params, workers=workers)
+    trace = simulate_trace(seq, d, a, params)
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.bin")

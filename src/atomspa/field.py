@@ -151,9 +151,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
 
-    def neg(self, a):
-        return 0 if a == 0 else self.p - a
-
 
 class Curve:
     """Short Weierstrass curve y^2 = x^3 + ax + b over GF(p)."""

@@ -153,8 +153,6 @@ class _Scheduler:
         self.states = {MULT: {}, ADDSUB: {}}  # block -> absolute cycle -> state
         self.addsub_ops = {}       # absolute cycle -> kind of the add/sub op there
         self.last_step = {}        # block -> last compute cycle of its latest op
-        self.spans = []            # (instance, op_index, f1, f2) of each unit op
-        self.copy_cycles = []      # (instance, op_index, cycle)
         self.barrier = 0           # latest first-partial-product cycle so far
         self.window_starts = []    # pp_first of each instance's first multiplication
 
@@ -324,7 +322,6 @@ class _Scheduler:
             self.addsub_ops.update(dict.fromkeys((f1, f1 + 1, last),
                                                  ops["D"].kind))
         self.last_step[block] = last
-        self.spans.append((instance, ops["D"].index, f1, f1 + 1))
 
     def _schedule_copy(self, instance, ops):
         """Place one register copy of each pattern in a single bus cycle."""
@@ -343,7 +340,6 @@ class _Scheduler:
             st.bus[c] = Transaction(op.src1, (op.dst,), op.index, "copy")
             st.last_read[op.src1] = max(st.last_read[op.src1], c)
             st.ready[op.dst] = (c + READABLE_LAG, instance)
-        self.copy_cycles.append((instance, ops["D"].index, c))
 
     @staticmethod
     def _can_hoist(pairs, k, m):

@@ -7,9 +7,8 @@ import pytest
 from atomspa.field import get_curve, Curve
 from atomspa.atoms import (ADD_PATTERN, DOUBLE_PATTERN, AffinePoint, INFINITY,
                            ScalarK, affine_add, affine_double,
-                           fresh_registers, k_mul, pattern_add,
-                           pattern_double, reference_k_mul, run_pattern,
-                           scalar_for_pattern_counts, to_affine)
+                           fresh_registers, k_mul, reference_k_mul,
+                           run_pattern, scalar_for_pattern_counts, to_affine)
 
 P256 = get_curve("P-256")
 G = AffinePoint(P256.gx, P256.gy)
@@ -44,16 +43,16 @@ def test_kind_sequences_identical():
 
 def test_write_log_matches_destination_column():
     regs = fresh_registers(P256, G)
-    _, log_d = pattern_double(regs, P256)
+    _, log_d = run_pattern("D", regs, P256)
     assert log_d == [op.dst for op in DOUBLE_PATTERN]
-    regs2, _ = pattern_double(regs, P256)
-    _, log_a = pattern_add(regs2, P256, G)
+    regs2, _ = run_pattern("D", regs, P256)
+    _, log_a = run_pattern("A", regs2, P256, G)
     assert log_a == [op.dst for op in ADD_PATTERN]
 
 
 def test_double_matches_reference_on_p256():
     regs = fresh_registers(P256, G)
-    regs, _ = pattern_double(regs, P256)
+    regs, _ = run_pattern("D", regs, P256)
     got = to_affine(regs, P256)
     want = affine_double(P256, G)
     assert (got.x, got.y) == (want.x, want.y)
@@ -61,8 +60,8 @@ def test_double_matches_reference_on_p256():
 
 def test_add_matches_reference_on_p256():
     regs = fresh_registers(P256, G)
-    regs, _ = pattern_double(regs, P256)
-    regs, _ = pattern_add(regs, P256, G)
+    regs, _ = run_pattern("D", regs, P256)
+    regs, _ = run_pattern("A", regs, P256, G)
     got = to_affine(regs, P256)
     want = affine_add(P256, affine_double(P256, G), G)
     assert (got.x, got.y) == (want.x, want.y)
@@ -73,7 +72,7 @@ def test_double_exhaustive_on_toy_curve():
         if pt.y == 0:
             continue
         regs = fresh_registers(TOY, pt)
-        regs, _ = pattern_double(regs, TOY)
+        regs, _ = run_pattern("D", regs, TOY)
         got = to_affine(regs, TOY)
         want = affine_double(TOY, pt)
         assert (got.x, got.y, got.infinity) == (want.x, want.y, want.infinity)
@@ -84,12 +83,12 @@ def test_add_all_valid_pairs_on_toy_curve():
     checked = 0
     for p1 in pts:
         regs0 = fresh_registers(TOY, p1)
-        regs0, _ = pattern_double(regs0, TOY)  # gives a generic Z != 1 state
+        regs0, _ = run_pattern("D", regs0, TOY)  # gives a generic Z != 1 state
         base = to_affine(regs0, TOY)
         for q in pts:
             if q.x == base.x:  # P = +-Q is outside the formulas
                 continue
-            regs, _ = pattern_add(regs0, TOY, q)
+            regs, _ = run_pattern("A", regs0, TOY, q)
             got = to_affine(regs, TOY)
             want = affine_add(TOY, base, q)
             assert (got.x, got.y) == (want.x, want.y)
@@ -97,31 +96,22 @@ def test_add_all_valid_pairs_on_toy_curve():
     assert checked > 100
 
 
-def test_add_rejects_equal_and_opposite():
-    regs = fresh_registers(P256, G)
-    regs, _ = pattern_double(regs, P256)
-    two_g = to_affine(regs, P256)
-    with pytest.raises(ValueError):
-        pattern_add(regs, P256, two_g)
-    neg = AffinePoint(two_g.x, P256.p - two_g.y)
-    with pytest.raises(ValueError):
-        pattern_add(regs, P256, neg)
-
-
-def test_double_rejects_two_torsion():
+def test_k_mul_aborts_before_doubling_a_two_torsion_point():
     # y = 0 point: doubling lands on infinity, outside the pattern algebra
     curve = Curve("toy23-tors", 23, 20, 5, 3, 0, 24)
-    pt = AffinePoint(3, 0)
-    regs = fresh_registers(curve, pt)
-    with pytest.raises(ValueError):
-        pattern_double(regs, curve)
+    with pytest.raises(ValueError,
+                       match="degenerate state before doubling at bit 1"):
+        k_mul(2, AffinePoint(3, 0), curve)
 
 
-def test_double_rejects_off_curve_state():
-    regs = fresh_registers(P256, G)
-    regs["X1"] = (regs["X1"] + 1) % P256.p
-    with pytest.raises(ValueError):
-        pattern_double(regs, P256)
+def test_k_mul_aborts_before_adding_plus_minus_q():
+    # Q has order 3, so 2Q = -Q and the addition of k = 3 meets P = -Q
+    curve = Curve("toy23-o3", 23, 20, 4, 6, 8, 30)
+    q = AffinePoint(6, 8)
+    assert affine_double(curve, q) == AffinePoint(6, curve.p - 8)
+    with pytest.raises(ValueError,
+                       match=r"degenerate P = \+-Q before addition at bit 1"):
+        k_mul(3, q, curve)
 
 
 def test_k_mul_k1_returns_point():
@@ -192,7 +182,7 @@ def test_addition_consumes_cached_z_powers():
     # the doubling leaves Z^2 and Z^3 for the following addition
     f = P256.field
     regs = fresh_registers(P256, G)
-    regs, _ = pattern_double(regs, P256)
+    regs, _ = run_pattern("D", regs, P256)
     assert regs["Z1"] == f.sqr(regs["X3"])
     assert regs["Z2"] == f.mul(regs["Z1"], regs["X3"])
 

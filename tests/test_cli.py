@@ -269,7 +269,7 @@ def test_partial_address_override(tmp_path):
     ("leakage", {"base_levels": ["mult:pp"]}),
     ("scalar", 5),
     ("scalar", 27),
-    ("workers", [1]),
+    ("workers", [1]),  # not a config key, so every workers value is unknown
     ("scalar", {"bits": [1]}),
     ("scalar", {"pick_seed": [1]}),
     ("curve", 5),
@@ -302,8 +302,19 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     ({"base_point": {"x": 1, "y": 2, "z": 3}},
      "unknown config keys: ['base_point.z']"),
     ({"leakage": {"alphaa": 1}}, "unknown config keys: ['leakage.alphaa']"),
+    ({"scalar": ""}, "scalar must be hexadecimal text ('0x' optional) or "
+                     "binary text with a '0b' prefix, not ''"),
+    ({"scalar": "xyz"}, "scalar must be hexadecimal text ('0x' optional) or "
+                        "binary text with a '0b' prefix, not 'xyz'"),
+    ({"scalar": "0b1"}, "scalar must be at least 2: k = 1 executes no "
+                        "pattern"),
+    ({"base_point": "foo"}, 'base_point must be "generator" or an object '
+                            "with x and y, not 'foo'"),
+    ({"base_point": [1, 2]}, 'base_point must be "generator" or an object '
+                             "with x and y, not [1, 2]"),
 ], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle",
-        "scalar-hex", "base-point-key", "leakage-key"])
+        "scalar-hex", "base-point-key", "leakage-key", "scalar-empty",
+        "scalar-text", "scalar-one", "base-point-text", "base-point-list"])
 def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -319,7 +330,8 @@ def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     {"curve": 5},
     {"workers": 0},
     {"scalar": {"bits": 2000}},
-], ids=["alpha", "curve", "workers", "bits"])
+    {"scalar": "1"},
+], ids=["alpha", "curve", "workers", "bits", "scalar-one"])
 def test_every_subcommand_rejects_what_simulate_rejects(tmp_path, command,
                                                         cfg):
     path = tmp_path / "cfg.json"
@@ -344,8 +356,7 @@ def test_default_scenario_is_the_reference():
         curve=curve, scalar=scalar_for_pattern_counts(256, 145, curve, seed=1),
         point=AffinePoint(curve.gx, curve.gy), timing=Timing(),
         leakage=LeakageParams(alpha=1.0, sigma=0.05, seed=1,
-                              samples_per_cycle=300),
-        workers=1)
+                              samples_per_cycle=300))
     assert got.leakage == LeakageParams()
     assert got.scalar.bit_length == 256
     assert sum(got.scalar.bits[1:]) == 145

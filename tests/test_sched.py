@@ -300,6 +300,30 @@ def test_schedule_dataflow_matches_repeated_additions():
 REPLAYED = 5
 
 
+class _RecordingScheduler(_Scheduler):
+    """A scheduler that notes where each op of each instance was placed:
+    fetches lists (instance, op_index, f1) of the unit ops, which fetch
+    their operands at f1 and f1 + 1, and copies (instance, op_index, cycle)
+    of the register copies."""
+
+    def __init__(self, timing):
+        super().__init__(timing)
+        self.fetches = []
+        self.copies = []
+
+    def _schedule_unit(self, block, instance, ops):
+        super()._schedule_unit(block, instance, ops)
+        # the unit computes for its steps right after its two fetch cycles
+        f1 = self.last_step[block] - 1 - self.steps[block]
+        self.fetches.append((instance, ops["D"].index, f1))
+
+    def _schedule_copy(self, instance, ops):
+        before = set(self.ps["D"].bus)
+        super()._schedule_copy(instance, ops)
+        (cycle,) = set(self.ps["D"].bus) - before
+        self.copies.append((instance, ops["D"].index, cycle))
+
+
 def _replay(timing, kind):
     """Replay pattern `kind` on the bus of a REPLAYED-instance schedule.
 
@@ -319,20 +343,20 @@ def _replay(timing, kind):
         q = AffinePoint(rng.randrange(f.p), rng.randrange(f.p))
     start = (dict(regs), q)
     ext = {EXT_QX: q.x, EXT_QY: q.y} if q else {}
-    sch = _Scheduler(timing).run(REPLAYED)
+    sch = _RecordingScheduler(timing).run(REPLAYED)
     bus = sch.ps[kind].bus
     ops = {op.index: op for op in PATTERNS[kind]}
 
     # per-instance fetch slots: where each op captures its two operands
     fetch_owner = {}
-    for inst, idx, f1, f2 in sch.spans:
-        fetch_owner[f1] = fetch_owner[f2] = (inst, idx)
+    for inst, idx, f1 in sch.fetches:
+        fetch_owner[f1] = fetch_owner[f1 + 1] = (inst, idx)
 
     # a block holds one pending result, so each op's write-backs land in
     # instance order: the k-th write-back of op i belongs to instance k
     wb_owner = {}
     drained = {}
-    landed = {(inst, idx): c for inst, idx, c in sch.copy_cycles}
+    landed = {(inst, idx): c for inst, idx, c in sch.copies}
     for cyc in sorted(bus):
         idx = bus[cyc].op_index
         if bus[cyc].role.startswith("writeback"):
