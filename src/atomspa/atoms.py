@@ -36,37 +36,33 @@ class AtomOp:
     src2: str = None
 
 
-def _op(index, kind, dst, src1, src2=None):
-    return AtomOp(index, kind, dst, src1, src2)
-
-
 # Point doubling, inputs (X1;X2;X3) = (X; Y; Z), outputs the full
 # five-register state (X; Y; Z; Z^2; Z^3) of 2P.
 DOUBLE_PATTERN = (
-    _op(1, "mul", "R0", "X3", "X3"),    # Z^2
-    _op(2, "add", "R2", "X2", "X2"),    # 2Y
-    _op(3, "sub", "R1", "X1", "R0"),    # X - Z^2
-    _op(4, "mul", "Z1", "X2", "R2"),    # 2Y^2
-    _op(5, "add", "X2", "Z1", "Z1"),    # 4Y^2
-    _op(6, "mul", "R3", "R2", "X3"),    # Znew = 2YZ
-    _op(7, "mul", "R2", "X2", "X1"),    # S = 4XY^2
-    _op(8, "add", "X1", "X1", "R0"),    # X + Z^2
-    _op(9, "mul", "R0", "R1", "X1"),    # X^2 - Z^4
-    _op(10, "mul", "R1", "Z1", "X2"),   # 8Y^4
-    _op(11, "add", "X1", "R0", "R0"),   # 2(X^2 - Z^4)
-    _op(12, "add", "R0", "R0", "X1"),   # M = 3(X^2 - Z^4)
-    _op(13, "mul", "X1", "R0", "R0"),   # M^2
-    _op(14, "sub", "X1", "X1", "R2"),   # M^2 - S
+    AtomOp(1, "mul", "R0", "X3", "X3"),    # Z^2
+    AtomOp(2, "add", "R2", "X2", "X2"),    # 2Y
+    AtomOp(3, "sub", "R1", "X1", "R0"),    # X - Z^2
+    AtomOp(4, "mul", "Z1", "X2", "R2"),    # 2Y^2
+    AtomOp(5, "add", "X2", "Z1", "Z1"),    # 4Y^2
+    AtomOp(6, "mul", "R3", "R2", "X3"),    # Znew = 2YZ
+    AtomOp(7, "mul", "R2", "X2", "X1"),    # S = 4XY^2
+    AtomOp(8, "add", "X1", "X1", "R0"),    # X + Z^2
+    AtomOp(9, "mul", "R0", "R1", "X1"),    # X^2 - Z^4
+    AtomOp(10, "mul", "R1", "Z1", "X2"),   # 8Y^4
+    AtomOp(11, "add", "X1", "R0", "R0"),   # 2(X^2 - Z^4)
+    AtomOp(12, "add", "R0", "R0", "X1"),   # M = 3(X^2 - Z^4)
+    AtomOp(13, "mul", "X1", "R0", "R0"),   # M^2
+    AtomOp(14, "sub", "X1", "X1", "R2"),   # M^2 - S
     # squares the new Z kept in R3; squaring anything else breaks the
     # cached-Z chain consumed by the next addition (oracle-pinned)
-    _op(15, "mul", "Z1", "R3", "R3"),   # Znew^2
-    _op(16, "sub", "X1", "X1", "R2"),   # Xnew = M^2 - 2S
-    _op(17, "sub", "R2", "R2", "X1"),   # S - Xnew
+    AtomOp(15, "mul", "Z1", "R3", "R3"),   # Znew^2
+    AtomOp(16, "sub", "X1", "X1", "R2"),   # Xnew = M^2 - 2S
+    AtomOp(17, "sub", "R2", "R2", "X1"),   # S - Xnew
     # Znew^3 = Znew^2 * Znew; the next addition reads it as qy's cofactor
-    _op(18, "mul", "Z2", "Z1", "R3"),   # Znew^3
-    _op(19, "mul", "X2", "R0", "R2"),   # M(S - Xnew)
-    _op(20, "copy", "X3", "R3"),        # Znew
-    _op(21, "sub", "X2", "X2", "R1"),   # Ynew = M(S - Xnew) - 8Y^4
+    AtomOp(18, "mul", "Z2", "Z1", "R3"),   # Znew^3
+    AtomOp(19, "mul", "X2", "R0", "R2"),   # M(S - Xnew)
+    AtomOp(20, "copy", "X3", "R3"),        # Znew
+    AtomOp(21, "sub", "X2", "X2", "R1"),   # Ynew = M(S - Xnew) - 8Y^4
 )
 
 # Mixed addition P + Q, P in registers, Q = (qx; qy; 1) from the external
@@ -74,28 +70,28 @@ DOUBLE_PATTERN = (
 # to the pattern this sequence descends from, which parallelizes better and
 # keeps the kind sequence equal to the doubling's.
 ADD_PATTERN = (
-    _op(1, "mul", "R1", EXT_QX, "Z1"),  # U2 = qx Z^2
-    _op(2, "add", "R2", "X2", "X2"),    # filler: same registers as doubling op 2
-    _op(3, "sub", "R1", "R1", "X1"),    # H = U2 - X
-    _op(4, "mul", "R2", "R1", "R1"),    # H^2
-    _op(5, "add", "R0", "R2", "R2"),    # filler: overwritten at op 7
-    _op(6, "mul", "R3", "X1", "R2"),    # X H^2
-    _op(7, "mul", "R0", EXT_QY, "Z2"),  # S2 = qy Z^3
-    _op(8, "add", "Z2", "Z2", "R0"),    # filler: overwritten at op 9
-    _op(9, "mul", "Z2", "R1", "R2"),    # H^3
-    _op(10, "mul", "R2", "X3", "R1"),   # Znew = Z H
-    _op(11, "add", "X1", "R3", "R3"),   # 2 X H^2
-    _op(12, "add", "X1", "Z2", "X1"),   # H^3 + 2 X H^2
+    AtomOp(1, "mul", "R1", EXT_QX, "Z1"),  # U2 = qx Z^2
+    AtomOp(2, "add", "R2", "X2", "X2"),    # filler: same registers as doubling op 2
+    AtomOp(3, "sub", "R1", "R1", "X1"),    # H = U2 - X
+    AtomOp(4, "mul", "R2", "R1", "R1"),    # H^2
+    AtomOp(5, "add", "R0", "R2", "R2"),    # filler: overwritten at op 7
+    AtomOp(6, "mul", "R3", "X1", "R2"),    # X H^2
+    AtomOp(7, "mul", "R0", EXT_QY, "Z2"),  # S2 = qy Z^3
+    AtomOp(8, "add", "Z2", "Z2", "R0"),    # filler: overwritten at op 9
+    AtomOp(9, "mul", "Z2", "R1", "R2"),    # H^3
+    AtomOp(10, "mul", "R2", "X3", "R1"),   # Znew = Z H
+    AtomOp(11, "add", "X1", "R3", "R3"),   # 2 X H^2
+    AtomOp(12, "add", "X1", "Z2", "X1"),   # H^3 + 2 X H^2
     # squares the new Z kept in R2 (the Z^2 cache for the next pattern)
-    _op(13, "mul", "Z1", "R2", "R2"),   # Znew^2
-    _op(14, "sub", "R0", "R0", "X2"),   # r = S2 - Y
-    _op(15, "mul", "R1", "R0", "R0"),   # r^2
-    _op(16, "sub", "X1", "R1", "X1"),   # Xnew = r^2 - H^3 - 2 X H^2
-    _op(17, "sub", "R1", "R3", "X1"),   # X H^2 - Xnew
-    _op(18, "mul", "R3", "R1", "R0"),   # r (X H^2 - Xnew)
-    _op(19, "mul", "R0", "X2", "Z2"),   # Y H^3
-    _op(20, "copy", "X3", "R2"),        # Znew
-    _op(21, "sub", "X2", "R3", "R0"),   # Ynew = r(X H^2 - Xnew) - Y H^3
+    AtomOp(13, "mul", "Z1", "R2", "R2"),   # Znew^2
+    AtomOp(14, "sub", "R0", "R0", "X2"),   # r = S2 - Y
+    AtomOp(15, "mul", "R1", "R0", "R0"),   # r^2
+    AtomOp(16, "sub", "X1", "R1", "X1"),   # Xnew = r^2 - H^3 - 2 X H^2
+    AtomOp(17, "sub", "R1", "R3", "X1"),   # X H^2 - Xnew
+    AtomOp(18, "mul", "R3", "R1", "R0"),   # r (X H^2 - Xnew)
+    AtomOp(19, "mul", "R0", "X2", "Z2"),   # Y H^3
+    AtomOp(20, "copy", "X3", "R2"),        # Znew
+    AtomOp(21, "sub", "X2", "R3", "R0"),   # Ynew = r(X H^2 - Xnew) - Y H^3
 )
 
 PATTERNS = {"D": DOUBLE_PATTERN, "A": ADD_PATTERN}
@@ -163,11 +159,8 @@ class ScalarK:
         return cls.from_int(k)
 
 
-def fresh_registers(curve, point):
-    """Register file encoding an affine point with Z = 1."""
-    point.validate(curve)
-    if point.infinity:
-        raise ValueError("cannot load the point at infinity")
+def fresh_registers(point):
+    """Register file encoding a finite affine point with Z = 1."""
     regs = {name: 0 for name in REGISTER_NAMES}
     regs["X1"] = point.x
     regs["X2"] = point.y
@@ -178,11 +171,8 @@ def fresh_registers(curve, point):
 
 
 def run_pattern(kind, regs, curve, q=None):
-    """Execute one atomic pattern in table order.
-
-    Returns (new_regs, write_log); write_log is the ordered list of
-    destination registers, one entry per operation.
-    """
+    """Execute one atomic pattern in table order; returns the new
+    register file."""
     f = curve.field
     ops = PATTERNS[kind]
     ext = {}
@@ -191,7 +181,6 @@ def run_pattern(kind, regs, curve, q=None):
             raise ValueError("addition pattern needs the affine addend")
         ext = {EXT_QX: q.x, EXT_QY: q.y}
     regs = dict(regs)
-    log = []
 
     def read(src):
         return ext[src] if src in ext else regs[src]
@@ -206,8 +195,7 @@ def run_pattern(kind, regs, curve, q=None):
             regs[op.dst] = f.sub(a, read(op.src2))
         else:  # copy
             regs[op.dst] = a
-        log.append(op.dst)
-    return regs, log
+    return regs
 
 
 def to_affine(regs, curve):
@@ -239,17 +227,17 @@ def k_mul(k, point, curve):
         raise ValueError("scalar must be in [1, n)")
 
     f = curve.field
-    regs = fresh_registers(curve, point)
+    regs = fresh_registers(point)
     seq = []
     for i, bit in enumerate(k.bits[1:], start=1):
         if regs["X3"] == 0 or regs["X2"] == 0:
             raise ValueError(f"degenerate state before doubling at bit {i}")
-        regs, _ = run_pattern("D", regs, curve)
+        regs = run_pattern("D", regs, curve)
         seq.append("D")
         if bit:
             if f.mul(point.x, regs["Z1"]) == regs["X1"]:
                 raise ValueError(f"degenerate P = +-Q before addition at bit {i}")
-            regs, _ = run_pattern("A", regs, curve, point)
+            regs = run_pattern("A", regs, curve, point)
             seq.append("A")
     return to_affine(regs, curve), tuple(seq)
 
@@ -317,8 +305,9 @@ def scalar_for_pattern_counts(bit_length, ones_below_msb, curve, seed=1):
     (bit_length - 1) doublings and ones_below_msb additions."""
     import random
 
-    if ones_below_msb > bit_length - 1:
-        raise ValueError("more ones than available bit positions")
+    if not 0 <= ones_below_msb <= bit_length - 1 or bit_length < 2:
+        raise ValueError(f"unsatisfiable scalar constraints: {ones_below_msb} "
+                         f"ones in {bit_length - 1} free positions")
     # the smallest scalar with these counts puts its ones at the bottom; the
     # width test first keeps a huge bit_length from building that number
     if bit_length > curve.n.bit_length() or \

@@ -112,18 +112,14 @@ def _scalar(spec, curve):
             if type(value) is not int:
                 raise ConfigError(f"scalar {name} must be an int, "
                                   f"not {value!r}")
-        bits, ones = spec["bits"], spec["ones_below_msb"]
-        if not 0 <= ones <= bits - 1 or bits < 2:
-            raise ConfigError(
-                f"unsatisfiable scalar constraints: {ones} ones in "
-                f"{bits - 1} free positions")
-        k = scalar_for_pattern_counts(bits, ones, curve,
-                                      seed=spec["pick_seed"])
+        k = scalar_for_pattern_counts(spec["bits"], spec["ones_below_msb"],
+                                      curve, seed=spec["pick_seed"])
     if k.value < 2:
         raise ConfigError("scalar must be at least 2: k = 1 executes no "
                           "pattern")
     if k.value >= curve.n:
-        raise ConfigError("scalar outside [2, n)")
+        raise ConfigError(f"scalar outside [2, n) on {curve.name}, whose "
+                          f"group order is n = {curve.n:#x}")
     return k
 
 
@@ -133,12 +129,16 @@ def _point(spec, curve):
     if not isinstance(spec, dict) or set(spec) != {"x", "y"}:
         raise ConfigError(f'base_point must be "generator" or an object with '
                           f'x and y, not {spec!r:.40}')
+    coords = []
+    for name in ("x", "y"):
+        v = spec[name]
+        try:
+            coords.append(v if type(v) is int else int(v, 16))
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad base point: coordinates must be ints or "
+                              f"hex strings, not {name} = {v!r:.40}") from None
     try:
-        x, y = (int(v, 16) if isinstance(v, str) else v
-                for v in (spec["x"], spec["y"]))
-        if type(x) is not int or type(y) is not int:
-            raise ValueError("coordinates must be ints or hex strings")
-        return AffinePoint(x, y).validate(curve)
+        return AffinePoint(*coords).validate(curve)
     except ValueError as e:
         raise ConfigError(f"bad base point: {e}") from e
 

@@ -28,8 +28,6 @@ def text_grid(schedule):
     write-back that also forwards its value to a unit names the register
     in the bus dst row and the unit in the fwd dst row.
     """
-    if not schedule.events:
-        return "(empty schedule)\n"
     n = schedule.cycle_count
     header = "".join(f"{c:<4d}" for c in range(1, n + 1))
     rows = {
@@ -82,10 +80,6 @@ def schedule_svg(schedule, overlay_diff=None, title=None):
         f'{title or f"pattern {schedule.kind}"} '
         f'({n} cycles)</text>',
     ]
-    if not schedule.events:
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
-
     reg_y = {r: top + i * reg_h for i, r in enumerate(reg_rows)}
     for r, y in reg_y.items():
         out.append(f'<text x="6" y="{y + 8}">{r}</text>')

@@ -216,7 +216,7 @@ class _Scheduler:
         txs, commits = {}, {}
         for pos, src in ((1, op.src1), (2, op.src2)):
             c = f1 + pos - 1
-            if pos == 2 and txs[f1].role == "fetch1" and txs[f1].src == src:
+            if pos == 2 and txs[f1].src == src:
                 # same source again: the register keeps driving the bus and
                 # the second port latches silently, with no new addressing
                 txs[c] = Transaction(src, (receiver,), op.index, "latch2")

@@ -41,27 +41,18 @@ def test_kind_sequences_identical():
     assert kinds_d.count("copy") == 1
 
 
-def test_write_log_matches_destination_column():
-    regs = fresh_registers(P256, G)
-    _, log_d = run_pattern("D", regs, P256)
-    assert log_d == [op.dst for op in DOUBLE_PATTERN]
-    regs2, _ = run_pattern("D", regs, P256)
-    _, log_a = run_pattern("A", regs2, P256, G)
-    assert log_a == [op.dst for op in ADD_PATTERN]
-
-
 def test_double_matches_reference_on_p256():
-    regs = fresh_registers(P256, G)
-    regs, _ = run_pattern("D", regs, P256)
+    regs = fresh_registers(G)
+    regs = run_pattern("D", regs, P256)
     got = to_affine(regs, P256)
     want = affine_double(P256, G)
     assert (got.x, got.y) == (want.x, want.y)
 
 
 def test_add_matches_reference_on_p256():
-    regs = fresh_registers(P256, G)
-    regs, _ = run_pattern("D", regs, P256)
-    regs, _ = run_pattern("A", regs, P256, G)
+    regs = fresh_registers(G)
+    regs = run_pattern("D", regs, P256)
+    regs = run_pattern("A", regs, P256, G)
     got = to_affine(regs, P256)
     want = affine_add(P256, affine_double(P256, G), G)
     assert (got.x, got.y) == (want.x, want.y)
@@ -71,8 +62,8 @@ def test_double_exhaustive_on_toy_curve():
     for pt in toy_group():
         if pt.y == 0:
             continue
-        regs = fresh_registers(TOY, pt)
-        regs, _ = run_pattern("D", regs, TOY)
+        regs = fresh_registers(pt)
+        regs = run_pattern("D", regs, TOY)
         got = to_affine(regs, TOY)
         want = affine_double(TOY, pt)
         assert (got.x, got.y, got.infinity) == (want.x, want.y, want.infinity)
@@ -82,13 +73,13 @@ def test_add_all_valid_pairs_on_toy_curve():
     pts = toy_group()
     checked = 0
     for p1 in pts:
-        regs0 = fresh_registers(TOY, p1)
-        regs0, _ = run_pattern("D", regs0, TOY)  # gives a generic Z != 1 state
+        regs0 = fresh_registers(p1)
+        regs0 = run_pattern("D", regs0, TOY)  # gives a generic Z != 1 state
         base = to_affine(regs0, TOY)
         for q in pts:
             if q.x == base.x:  # P = +-Q is outside the formulas
                 continue
-            regs, _ = run_pattern("A", regs0, TOY, q)
+            regs = run_pattern("A", regs0, TOY, q)
             got = to_affine(regs, TOY)
             want = affine_add(TOY, base, q)
             assert (got.x, got.y) == (want.x, want.y)
@@ -157,6 +148,7 @@ def test_reference_k_mul_against_repeated_addition():
         assert (acc.x, acc.y, acc.infinity) == (want.x, want.y, want.infinity)
     # group order annihilates
     assert reference_k_mul(TOY.n, GT, TOY).infinity
+    assert affine_add(TOY, GT, INFINITY) == GT
 
 
 def test_k_mul_rejects_bad_scalars():
@@ -166,14 +158,19 @@ def test_k_mul_rejects_bad_scalars():
         k_mul(P256.n, G, P256)
 
 
+def test_k_mul_rejects_the_point_at_infinity():
+    with pytest.raises(ValueError, match="base point must not be infinity"):
+        k_mul(2, INFINITY, P256)
+
+
 def test_to_affine_identity_scaling():
-    regs = fresh_registers(P256, G)
+    regs = fresh_registers(G)
     pt = to_affine(regs, P256)
     assert (pt.x, pt.y) == (G.x, G.y)
 
 
 def test_to_affine_zero_z_is_infinity():
-    regs = fresh_registers(P256, G)
+    regs = fresh_registers(G)
     regs["X3"] = 0
     assert to_affine(regs, P256).infinity
 
@@ -181,8 +178,8 @@ def test_to_affine_zero_z_is_infinity():
 def test_addition_consumes_cached_z_powers():
     # the doubling leaves Z^2 and Z^3 for the following addition
     f = P256.field
-    regs = fresh_registers(P256, G)
-    regs, _ = run_pattern("D", regs, P256)
+    regs = fresh_registers(G)
+    regs = run_pattern("D", regs, P256)
     assert regs["Z1"] == f.sqr(regs["X3"])
     assert regs["Z2"] == f.mul(regs["Z1"], regs["X3"])
 
@@ -195,6 +192,8 @@ def test_scalar_type():
     assert ScalarK.from_string("0b1101").value == 13
     with pytest.raises(ValueError):
         ScalarK((0, 1))
+    with pytest.raises(ValueError, match="0/1"):
+        ScalarK((1, 2))
     with pytest.raises(ValueError):
         ScalarK.from_int(0)
 
@@ -205,11 +204,14 @@ def test_scalar_for_pattern_counts():
     assert k.bits[0] == 1
     assert sum(k.bits[1:]) == 145
     assert 1 <= k.value < P256.n
-    with pytest.raises(ValueError):
-        scalar_for_pattern_counts(8, 9, P256)
+    # too many ones, negative ones, and no bit below the leading one
+    for bits, ones in ((8, 9), (8, -1), (1, 0)):
+        with pytest.raises(ValueError,
+                           match="unsatisfiable scalar constraints"):
+            scalar_for_pattern_counts(bits, ones, P256)
 
 
 def test_run_pattern_requires_addend():
-    regs = fresh_registers(P256, G)
+    regs = fresh_registers(G)
     with pytest.raises(ValueError):
         run_pattern("A", regs, P256)

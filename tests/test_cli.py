@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomspa.atoms import AffinePoint, scalar_for_pattern_counts
+from atomspa.atoms import (AffinePoint, affine_double,
+                           scalar_for_pattern_counts)
 from atomspa.cli import (DEFAULT_CONFIG, EXIT_CONFIG, EXIT_IO,
                          EXIT_NOT_RECOVERED, EXIT_OK, SECTION_KEYS, Scenario,
                          load_scenario, main)
@@ -19,6 +20,9 @@ from atomspa.sched import Timing
 from atomspa.spa import run_attack
 
 REPO = Path(__file__).resolve().parents[1]
+P256 = get_curve("P-256")
+# 2G, a base point other than the generator
+TWO_G = affine_double(P256, AffinePoint(P256.gx, P256.gy))
 
 
 def small_config(tmp_path, timing=None, **leak):
@@ -96,6 +100,8 @@ def test_unsatisfiable_scalar_constraint(tmp_path, capsys):
     cfg.write_text(json.dumps({"scalar": {"bits": 8, "ones_below_msb": 9}}))
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
+    assert ("unsatisfiable scalar constraints: 9 ones in 7 free positions"
+            in capsys.readouterr().err)
 
 
 def test_scalar_wider_than_the_order_fails_at_once(tmp_path, capsys):
@@ -186,6 +192,27 @@ def test_missing_trace_is_io_error(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_IO
 
 
+def test_unreadable_config_is_io_error(tmp_path, capsys):
+    # open() fails on a directory
+    assert main(["simulate", "--config", str(tmp_path),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_IO
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_custom_base_point_runs_end_to_end(tmp_path, capsys):
+    cfg = small_config(tmp_path, samples_per_cycle=3)
+    data = json.loads(cfg.read_text())
+    data["base_point"] = {"x": f"{TWO_G.x:#x}", "y": TWO_G.y}
+    cfg.write_text(json.dumps(data))
+    assert load_scenario(cfg).point == TWO_G
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_OK
+    assert "scalar fully recovered" in capsys.readouterr().out
+
+
 def test_explicit_scalar_hex(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -269,15 +296,15 @@ def test_partial_address_override(tmp_path):
     ("leakage", {"base_levels": ["mult:pp"]}),
     ("scalar", 5),
     ("scalar", 27),
-    ("workers", [1]),  # not a config key, so every workers value is unknown
+    ("scalar", {"bits": 1}),  # no bit below the leading one
     ("scalar", {"bits": [1]}),
     ("scalar", {"pick_seed": [1]}),
     ("curve", 5),
     ("curve", [1]),
-    ("workers", 1.5),
-    ("workers", "2"),
-    ("workers", True),
-    ("workers", 0),
+    ("scalar", {"ones_below_msb": -1}),
+    ("base_point", {"x": -1, "y": 1}),  # not a field element
+    ("base_point", {"x": "f" * 64, "y": 1}),  # hex, but not below p
+    ("base_point", {"x": 1, "y": True}),
     ("scalar", {"pick_seed": 1.5}),
     ("scalar", {"ones_below_msb": True}),
     ("leakage", {"alpha": 10**400}),  # finite, but past the float range
@@ -312,9 +339,16 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
                             "with x and y, not 'foo'"),
     ({"base_point": [1, 2]}, 'base_point must be "generator" or an object '
                              "with x and y, not [1, 2]"),
+    ({"base_point": {"x": "zz", "y": 1}},
+     "coordinates must be ints or hex strings, not x = 'zz'"),
+    ({"base_point": {"x": 1, "y": 2}}, "(0x1, 0x2) not on P-256"),
+    ({"scalar": "f" * 64},
+     "scalar outside [2, n) on P-256, whose group order is n = "
+     "0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"),
 ], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle",
         "scalar-hex", "base-point-key", "leakage-key", "scalar-empty",
-        "scalar-text", "scalar-one", "base-point-text", "base-point-list"])
+        "scalar-text", "scalar-one", "base-point-text", "base-point-list",
+        "coordinate-text", "base-point-off-curve", "scalar-order"])
 def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -328,10 +362,9 @@ def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
 @pytest.mark.parametrize("cfg", [
     {"leakage": {"alpha": "x"}},
     {"curve": 5},
-    {"workers": 0},
     {"scalar": {"bits": 2000}},
     {"scalar": "1"},
-], ids=["alpha", "curve", "workers", "bits", "scalar-one"])
+], ids=["alpha", "curve", "bits", "scalar-one"])
 def test_every_subcommand_rejects_what_simulate_rejects(tmp_path, command,
                                                         cfg):
     path = tmp_path / "cfg.json"
@@ -371,15 +404,18 @@ def test_default_scenario_is_the_reference():
 
 
 def test_readme_scenario_example_loads(tmp_path):
-    # the JSON example in README is a config the boundary accepts as written
+    # the JSON examples in README are configs the boundary accepts as written
     readme = (REPO / "README.md").read_text()
-    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    scenario, base_point = (block.split("```", 1)[0]
+                            for block in readme.split("```json\n")[1:])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(example)
+    cfg.write_text(scenario)
     got = load_scenario(cfg)
     assert got.leakage == LeakageParams(alpha=1.0, sigma=0.1, seed=7,
                                         samples_per_cycle=300)
     assert got.timing == Timing(mul_plan="karatsuba4", overlap=True)
+    cfg.write_text(base_point)
+    assert load_scenario(cfg).point == TWO_G
 
 
 # every key the config knows and sometimes a misspelling, with values that
@@ -441,6 +477,17 @@ def test_sidecar_missing_key_is_io_error(tmp_path, capsys):
     assert main(["attack", "--trace", str(out / "trace.bin"),
                  "--out-dir", str(out / "report")]) == EXIT_IO
     assert "cycles_per_pattern" in capsys.readouterr().err
+
+
+def test_sidecar_that_is_not_an_object_is_io_error(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    (out / "trace.json").write_text("[1]")
+    capsys.readouterr()
+    assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--out-dir", str(out / "report")]) == EXIT_IO
+    assert "trace metadata is not a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, edit", [

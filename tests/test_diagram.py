@@ -1,32 +1,13 @@
 """Schedule diagrams: add/sub colours and the text grid."""
 
-import functools
 import hashlib
 
 from atomspa.diagram import schedule_svg, text_grid
-from atomspa.sched import (ScheduleError, Timing, addressing_diff,
-                           build_schedules)
+from atomspa.sched import Timing, addressing_diff, build_schedules
 
 
-@functools.cache
-def _schedulable_grid():
-    """(timing, d, a) of every schedulable config of mul_plan x overlap x
-    mult_wb_lag 0..19."""
-    grid = []
-    for plan in ("karatsuba4", "classical"):
-        for overlap in (True, False):
-            for lag in range(20):
-                t = Timing(mul_plan=plan, overlap=overlap, mult_wb_lag=lag)
-                try:
-                    grid.append((t, *build_schedules(t)))
-                except ScheduleError:
-                    continue
-    return tuple(grid)
-
-
-def test_both_patterns_colour_each_add_sub_cycle_alike():
-    assert len(_schedulable_grid()) == 56
-    for t, d, a in _schedulable_grid():
+def test_both_patterns_colour_each_add_sub_cycle_alike(schedulable_grid):
+    for t, d, a in schedulable_grid:
         ops = [ev.addsub_op for ev in d.events]
         assert ops == [ev.addsub_op for ev in a.events], t
         # an operation owns exactly the cycles where the unit is busy
@@ -35,10 +16,10 @@ def test_both_patterns_colour_each_add_sub_cycle_alike():
                    for op, ev in zip(ops, d.events)), t
 
 
-def test_diagrams_are_pinned():
+def test_diagrams_are_pinned(schedulable_grid):
     # every byte of both grids, both SVGs and the overlay over the grid
     h = hashlib.sha256()
-    for _t, d, a in _schedulable_grid():
+    for _t, d, a in schedulable_grid:
         for s in (d, a):
             h.update(schedule_svg(s).encode())
             h.update(text_grid(s).encode())

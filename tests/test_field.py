@@ -143,3 +143,13 @@ def test_curve_registry_and_overrides():
 def test_curve_requires_a_minus_three():
     with pytest.raises(ValueError):
         Curve("bad", 23, 1, 1, 0, 1, 28)
+
+
+@pytest.mark.parametrize("p, b, gy, message", [
+    (4, 1, 1, "odd prime"),
+    (23, 2, 1, "singular curve"),  # 4a^3 + 27b^2 = 0 mod 23 for a = -3
+    (23, 1, 2, "generator not on curve"),  # (0, 2) is off toy23
+], ids=["even-p", "singular", "generator-off-curve"])
+def test_curve_rejects_bad_parameters(p, b, gy, message):
+    with pytest.raises(ValueError, match=message):
+        Curve("bad", p, -3, b, 0, gy, 23)

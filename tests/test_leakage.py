@@ -12,8 +12,8 @@ from scipy import stats
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
                            recover_scalar, scalar_for_pattern_counts)
-from atomspa.sched import (ADDSUB, MULT, ScheduleError, Timing,
-                           addressing_diff, build_schedules, mult_block_state)
+from atomspa.sched import (ADDSUB, MULT, Timing, addressing_diff,
+                           build_schedules, mult_block_state)
 from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
                              LeakageParams, Trace, read_trace, simulate_trace,
                              window_levels, write_trace)
@@ -35,23 +35,6 @@ def windows(p):
     after D and window 3 is D after A."""
     t = simulate_trace(("D", "D", "A", "D"), D, A, p)
     return t.samples.reshape(4, -1)
-
-
-@functools.cache
-def timing_grid():
-    """(timing, d, a) for every schedulable config of mul_plan x overlap x
-    mult_wb_lag 0..19."""
-    out = []
-    for plan in ("karatsuba4", "classical"):
-        for overlap in (True, False):
-            for lag in range(20):
-                t = Timing(mul_plan=plan, overlap=overlap, mult_wb_lag=lag)
-                try:
-                    out.append((t, *build_schedules(t)))
-                except ScheduleError:
-                    pass
-    assert len(out) == 56
-    return out
 
 
 @functools.cache
@@ -223,14 +206,14 @@ def test_schedules_of_different_lengths_rejected():
         simulate_trace(("D", "A"), D, classical_a, params())
 
 
-def test_address_lines_hold_across_the_window_boundary():
+def test_address_lines_hold_across_the_window_boundary(schedulable_grid):
     # Hamming distance is unchanged by a common XOR mask, so masking every
     # code of the table changes no level, provided no window starts its
     # lines from a fixed code; and a silent cycle, at the window boundary
     # too, flips no line, so it shows its base level alone
     mask = 0b101101
     masked = {name: c ^ mask for name, c in DEFAULT_ADDRESS_CODES.items()}
-    for timing, d, a in timing_grid():
+    for timing, d, a in schedulable_grid:
         lv = window_levels(d, a, params())
         lv_masked = window_levels(d, a, params(addresses=masked))
         base = window_levels(d, a, params(alpha=0.0))
@@ -241,13 +224,13 @@ def test_address_lines_hold_across_the_window_boundary():
                 timing
 
 
-def test_level_model_predicts_the_attacks_leaking_cycles():
+def test_level_model_predicts_the_attacks_leaking_cycles(schedulable_grid):
     # a cycle leaks when both D windows (after a D and after an A) differ
     # in level from the A window (always after a D); at zero noise those
     # are exactly the cycles where some sample classifies every pattern
     seq = reference_sequence()
     p = params(samples_per_cycle=1)
-    for timing, d, a in timing_grid():
+    for timing, d, a in schedulable_grid:
         lv = window_levels(d, a, p)
         leaks = (lv["D", "D"] != lv["D", "A"]) & (lv["A", "D"] != lv["D", "A"])
         report = run_attack(simulate_trace(seq, d, a, p))
