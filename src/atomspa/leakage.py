@@ -66,7 +66,9 @@ DEFAULT_ADDRESS_CODES = {
 
 # flat per-sample levels for each activity state; the red/light-red/white
 # distinction of the multiplier shows up as high/medium/low plateaus, and
-# every partial-product cycle draws the same "mult:pp" level
+# every partial-product cycle draws the same "mult:pp" level.  The table is
+# fixed: both pattern kinds walk the same block states, so no level of it
+# can move a D/A difference
 DEFAULT_BASE_LEVELS = {
     "mult:load1": 0.55, "mult:load2": 0.60, "mult:pp": 1.00,
     "mult:out": 0.80, "mult:wait_first": 0.45, "mult:wait": 0.25,
@@ -83,7 +85,6 @@ class LeakageParams:
     sigma: float = 0.05         # Gaussian noise standard deviation
     samples_per_cycle: int = 300
     seed: int = 1
-    base_levels: dict = None    # overrides for DEFAULT_BASE_LEVELS entries
     addresses: dict = None      # overrides for DEFAULT_ADDRESS_CODES entries
 
     def __post_init__(self):
@@ -97,15 +98,6 @@ class LeakageParams:
         _check_real("sigma", self.sigma)
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if self.base_levels is not None:
-            if not isinstance(self.base_levels, dict):
-                raise ValueError(f"base_levels must be a dict, "
-                                 f"not {self.base_levels!r}")
-            unknown = set(self.base_levels) - set(DEFAULT_BASE_LEVELS)
-            if unknown:
-                raise ValueError(f"unknown base levels: {sorted(unknown)}")
-            for name, level in self.base_levels.items():
-                _check_real(f"base level {name}", level)
         if not isinstance(self.addresses, (dict, type(None))) or \
                 set(self.addresses or ()) - set(DEFAULT_ADDRESS_CODES):
             raise ValueError(f"addresses must map names of the default "
@@ -117,12 +109,6 @@ class LeakageParams:
             raise ValueError(f"address codes must be distinct ints in "
                              f"[0, {1 << ADDRESS_BITS}): {table}")
 
-    def levels(self):
-        lv = dict(DEFAULT_BASE_LEVELS)
-        if self.base_levels:
-            lv.update(self.base_levels)
-        return lv
-
     def address_table(self):
         return {**DEFAULT_ADDRESS_CODES, **(self.addresses or {})}
 
@@ -130,7 +116,7 @@ class LeakageParams:
         blob = json.dumps({
             "alpha": self.alpha, "sigma": self.sigma,
             "samples_per_cycle": self.samples_per_cycle, "seed": self.seed,
-            "base_levels": sorted((self.levels()).items()),
+            "base_levels": sorted(DEFAULT_BASE_LEVELS.items()),
             "addresses": sorted(self.address_table().items()),
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -172,7 +158,7 @@ def window_levels(d_sched, a_sched, params):
         raise ValueError("schedules disagree on the pattern length")
     n = d_sched.cycle_count
     sched = {"D": d_sched, "A": a_sched}
-    lv = params.levels()
+    lv = DEFAULT_BASE_LEVELS
     table = params.address_table()
     out = {}
     # an overflow to inf is reported by simulate_trace, not as a warning
@@ -226,8 +212,7 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
             + NOISE_CAP * params.sigma)
     if not peak <= float(np.finfo(TRACE_DTYPE).max):
         raise ValueError(f"samples would reach {peak:.4g}, beyond the "
-                         f"float32 range; lower alpha, sigma or the base "
-                         f"levels")
+                         f"float32 range; lower alpha or sigma")
     window = {kinds: np.repeat(lv, spc) for kinds, lv in levels.items()}
 
     total = np.empty(spp * len(seq), dtype=TRACE_DTYPE)
@@ -317,7 +302,8 @@ def read_trace(trace_path, meta_path):
     try:
         with open(meta_path) as f:
             meta = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError covers bad JSON, bad UTF-8 and ints past the digit limit
+    except (OSError, ValueError, RecursionError) as e:
         raise IOError(f"cannot read trace metadata: {e}") from e
     if not isinstance(meta, dict):
         raise IOError("trace metadata is not a JSON object")

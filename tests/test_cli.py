@@ -131,10 +131,10 @@ def test_impossible_bit_counts_fail_at_once(tmp_path, capsys):
 @pytest.mark.parametrize("leak, message", [
     ({"alpha": 1e308}, "beyond the float32 range"),
     ({"sigma": 1e38}, "beyond the float32 range"),
-    ({"base_levels": {"mult:pp": 3.5e38}}, "beyond the float32 range"),
+    ({"alpha": -1e38}, "beyond the float32 range"),
     # 28 patterns of 109 cycles: 4 bytes for each of 3.052e15 samples
     ({"samples_per_cycle": 10**12}, "needs 12,208,000,000,000,000 bytes"),
-], ids=["alpha", "sigma", "base-level", "samples_per_cycle"])
+], ids=["alpha", "sigma", "negative-alpha", "samples_per_cycle"])
 def test_impossible_trace_is_config_error(tmp_path, capsys, leak, message):
     cfg = small_config(tmp_path, **leak)
     assert main(["simulate", "--config", str(cfg),
@@ -273,7 +273,7 @@ def test_partial_address_override(tmp_path):
     ("timing", {"mul_plan": "toom"}),
     ("timing", {"mult_wb_deadline": "pp5"}),  # not a timing option
     ("timing", {"mult_wb_lag": 9}),  # unschedulable
-    ("leakage", {"base_levels": {"mult:pp3": 1.0}}),
+    ("leakage", {"addresses": {"MULT": 0b111000}}),  # ADDSUB's default code
     ("leakage", {"addresses": {"X1": "a"}}),
     ("leakage", {"addresses": {"FOO": 3}}),
     ("leakage", {"addresses": {"X1": 3, "X2": 3}}),
@@ -292,8 +292,8 @@ def test_partial_address_override(tmp_path):
     ("leakage", {"alpha": False}),
     ("leakage", {"sigma": float("nan")}),
     ("leakage", {"sigma": float("inf")}),
-    ("leakage", {"base_levels": {"mult:pp": "hi"}}),
-    ("leakage", {"base_levels": ["mult:pp"]}),
+    ("leakage", {"alpha": None}),
+    ("leakage", {"addresses": {"X1": -1}}),
     ("scalar", 5),
     ("scalar", 27),
     ("scalar", {"bits": 1}),  # no bit below the leading one
@@ -323,8 +323,8 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
      "coordinates must be ints or hex strings"),
     ({"timing": {"addresses": {"X1": 5}}},
      "unknown config keys: ['timing.addresses']"),
-    ({"leakage": {"base_levels": {"mult:idle": 1.0}}},
-     "unknown base levels: ['mult:idle']"),
+    ({"leakage": {"base_levels": {"mult:pp": 2.0}}},
+     "unknown config keys: ['leakage.base_levels']"),
     ({"scalar": {"hex": "0x1b"}}, "unknown config keys: ['scalar.hex']"),
     ({"base_point": {"x": 1, "y": 2, "z": 3}},
      "unknown config keys: ['base_point.z']"),
@@ -345,7 +345,7 @@ def test_bad_timing_and_leakage_values(tmp_path, section, bad):
     ({"scalar": "f" * 64},
      "scalar outside [2, n) on P-256, whose group order is n = "
      "0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"),
-], ids=["key", "scalar-key", "coordinate", "timing-addresses", "mult-idle",
+], ids=["key", "scalar-key", "coordinate", "timing-addresses", "base-levels",
         "scalar-hex", "base-point-key", "leakage-key", "scalar-empty",
         "scalar-text", "scalar-one", "base-point-text", "base-point-list",
         "coordinate-text", "base-point-off-curve", "scalar-order"])
@@ -364,7 +364,8 @@ def test_config_error_names_its_cause(tmp_path, capsys, cfg, message):
     {"curve": 5},
     {"scalar": {"bits": 2000}},
     {"scalar": "1"},
-], ids=["alpha", "curve", "bits", "scalar-one"])
+    {"leakage": {"base_levels": {"mult:pp": 2.0}}},
+], ids=["alpha", "curve", "bits", "scalar-one", "base-levels"])
 def test_every_subcommand_rejects_what_simulate_rejects(tmp_path, command,
                                                         cfg):
     path = tmp_path / "cfg.json"
@@ -479,15 +480,22 @@ def test_sidecar_missing_key_is_io_error(tmp_path, capsys):
     assert "cycles_per_pattern" in capsys.readouterr().err
 
 
-def test_sidecar_that_is_not_an_object_is_io_error(tmp_path, capsys):
+@pytest.mark.parametrize("raw, message", [
+    (b"[1]", "trace metadata is not a JSON object"),
+    (b'\xff\xfe{"a":1}', "cannot read trace metadata"),  # not UTF-8
+    (b'{"seed": ' + b"9" * 5000 + b"}", "cannot read trace metadata"),
+    (b"[" * 100000 + b"]" * 100000, "cannot read trace metadata"),
+], ids=["list", "not-utf8", "long-int", "deep"])
+def test_sidecar_that_is_not_an_object_is_io_error(tmp_path, capsys, raw,
+                                                   message):
     cfg = small_config(tmp_path)
     out = tmp_path / "run"
     main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
-    (out / "trace.json").write_text("[1]")
+    (out / "trace.json").write_bytes(raw)
     capsys.readouterr()
     assert main(["attack", "--trace", str(out / "trace.bin"),
                  "--out-dir", str(out / "report")]) == EXIT_IO
-    assert "trace metadata is not a JSON object" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, edit", [
