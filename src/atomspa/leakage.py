@@ -12,12 +12,15 @@ window_levels), each cycle's level repeated samples_per_cycle times.  Only
 Hamming distances reach the samples, so XOR-ing every code of the address
 table with one common mask changes no sample.
 
-Noise is N(0, sigma^2), drawn for each pattern by the Box-Muller transform
-and written in place into that pattern's slice of the trace.  Its uniforms
-are (w >> 8) * 2**-24 in float32, for the 32-bit halves w of the raw words
-of an SFC64 generator seeded by SeedSequence([seed, pattern index]).  This
-makes the trace a pure function of its inputs no matter how many workers
-simulate patterns concurrently.  The uniforms are multiples of 2**-24, so
+Noise is N(0, sigma^2), drawn by the Box-Muller transform and written in
+place into the trace.  Its uniforms are (w >> 8) * 2**-24 in float32, for
+the 32-bit halves w of the raw words of an SFC64 generator that each
+pattern seeds with SeedSequence([seed, pattern index]).  The transform runs
+on blocks of BLOCK consecutive patterns, which the calling thread and, by
+default, one helper thread per further CPU take in turn, and applies the
+same float32 operations in the same order to every sample whatever the
+block or thread, so the trace is a pure function of its inputs, byte for
+byte, for any worker count.  The uniforms are multiples of 2**-24, so
 |noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of
 about 8e-9.
 """
@@ -40,6 +43,7 @@ from atomspa.sched import ADDSUB, KINDS, MULT, mult_block_state
 TRACE_DTYPE = "<f4"
 NOISE_CAP = 5.7682      # bound on |noise| / sigma, see the module docstring
 META_COUNTS = ("samples_per_cycle", "cycles_per_pattern", "pattern_count")
+BLOCK = 8               # patterns per task of the noise render
 ADDRESS_BITS = 6
 
 # Default address codes, ADDRESS_BITS wide.  The attack separates the two
@@ -113,8 +117,10 @@ class LeakageParams:
         return {**DEFAULT_ADDRESS_CODES, **(self.addresses or {})}
 
     def digest(self):
+        # the numbers, not their spellings: 1 and 1.0, or -0.0 and 0.0, give
+        # the same samples and so the same hash
         blob = json.dumps({
-            "alpha": self.alpha, "sigma": self.sigma,
+            "alpha": float(self.alpha) + 0.0, "sigma": float(self.sigma) + 0.0,
             "samples_per_cycle": self.samples_per_cycle, "seed": self.seed,
             "base_levels": sorted(DEFAULT_BASE_LEVELS.items()),
             "addresses": sorted(self.address_table().items()),
@@ -191,10 +197,13 @@ def _check_memory(samples):
                          f"bytes, more than the {have:,} bytes of memory")
 
 
-def simulate_trace(seq, d_sched, a_sched, params, workers=1):
+def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     """Concatenate per-pattern simulations with address carry-over.
 
-    seq is the executed pattern sequence ('D'/'A' strings) of k_mul.
+    seq is the executed pattern sequence ('D'/'A' strings) of k_mul.  The
+    noise is rendered BLOCK patterns at a time by up to `workers` threads,
+    the calling one included, by default one per CPU this process may run
+    on; the samples do not depend on either.
     Raises ValueError for an empty sequence, one that breaks the
     double-and-add grammar (see recover_scalar), a trace larger than
     physical memory or samples beyond the float32 range.
@@ -215,50 +224,74 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=1):
                          f"float32 range; lower alpha or sigma")
     window = {kinds: np.repeat(lv, spc) for kinds, lv in levels.items()}
 
-    total = np.empty(spp * len(seq), dtype=TRACE_DTYPE)
+    n = len(seq)
+    total = np.empty(spp * n, dtype=TRACE_DTYPE)
     # Box-Muller: each (radius, angle) pair gives one cosine and one sine
     # sample, so h pairs cover a window of spp (possibly odd) samples
     h = (spp + 1) // 2
     sigma = np.float32(params.sigma)
     two_pi = np.float32(2.0 * math.pi)
+    if params.sigma > 0:
+        # seeding holds the GIL, so it runs before any helper thread starts
+        # rather than stalling the threads while they render
+        bits = [np.random.SFC64(np.random.SeedSequence([params.seed, i]))
+                for i in range(n)]
 
-    def render(i):
-        k = seq[i]
+    def render(start, u):
+        stop = min(start + BLOCK, n)
+        out = total[start * spp : stop * spp].reshape(stop - start, spp)
         # the first window starts from the line state its own kind leaves
-        pk = seq[i - 1] if i > 0 else seq[0]
-        w = window[(pk, k)]
-        out = total[i * spp : (i + 1) * spp]
-        if params.sigma > 0:
-            # a fresh generator and buffer per call keep concurrent renders
-            # independent
-            bits = np.random.SFC64(np.random.SeedSequence([params.seed, i]))
-            words = bits.random_raw(h).view(np.uint32)
+        w = [window[(seq[i - 1] if i > 0 else seq[0], seq[i])]
+             for i in range(start, stop)]
+        if params.sigma == 0:
+            for row, wi in zip(out, w):
+                row[:] = wi
+            return
+        u = u[: stop - start]
+        for row, i in zip(u, range(start, stop)):
+            words = bits[i].random_raw(h).view(np.uint32)
             words >>= 8
-            u = words.astype(np.float32)
-            u *= np.float32(2.0**-24)  # uniforms in [0, 1), 24 bits each
-            r, theta = u[:h], u[h:]
-            np.subtract(1, r, out=r)  # in (0, 1], so log never sees 0
-            np.log(r, out=r)
-            r *= np.float32(-2)
-            np.sqrt(r, out=r)
-            r *= sigma  # after the root, so sigma**2 cannot overflow
-            theta *= two_pi
-            lo, hi = out[:h], out[h:]
-            np.cos(theta, out=lo)
-            lo *= r
-            lo += w[:h]
-            np.sin(theta[: spp - h], out=hi)
-            hi *= r[: spp - h]
-            hi += w[h:]
-        else:
-            out[:] = w
+            row[:] = words  # below 2**24, so float32 holds each one exactly
+        u *= np.float32(2.0**-24)  # uniforms in [0, 1), 24 bits each
+        r, theta = u[:, :h], u[:, h:]
+        np.subtract(1, r, out=r)  # in (0, 1], so log never sees 0
+        np.log(r, out=r)
+        r *= np.float32(-2)
+        np.sqrt(r, out=r)
+        r *= sigma  # after the root, so sigma**2 cannot overflow
+        theta *= two_pi
+        lo, hi = out[:, :h], out[:, h:]
+        np.cos(theta, out=lo)
+        lo *= r
+        np.sin(theta[:, : spp - h], out=hi)
+        hi *= r[:, : spp - h]
+        for row, wi in zip(out, w):
+            row += wi
 
+    starts = range(0, n, BLOCK)
+    # every thread takes the next block start as it comes free, so a stalled
+    # core holds back no more than the block it has; next() on the shared
+    # iterator is atomic under the GIL
+    blocks = iter(starts)
+
+    def drain(u):
+        for start in blocks:
+            render(start, u)
+
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, len(starts))
+    # one scratch block per thread, made here rather than in the threads
+    scratch = np.empty((workers, min(BLOCK, n), 2 * h), dtype=np.float32)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(render, range(len(seq))))
+        # the calling thread renders beside workers - 1 helpers
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain, u) for u in scratch[1:]]
+            drain(scratch[0])
+        for f in helpers:
+            f.result()
     else:
-        for i in range(len(seq)):
-            render(i)
+        drain(scratch[0])
 
     meta = {
         "samples_per_cycle": params.samples_per_cycle,
@@ -292,6 +325,12 @@ def write_trace(trace, trace_path, meta_path):
     with open(meta_path, "w") as f:
         json.dump(trace.meta, f, indent=1, sort_keys=True)
         f.write("\n")
+
+
+def _count(n):
+    """n in decimal, or a bound on it once str() could hit the digit limit
+    that Python puts on int-to-text conversion."""
+    return str(n) if n < 2**64 else f"at least 2**{n.bit_length() - 1}"
 
 
 def read_trace(trace_path, meta_path):
@@ -332,6 +371,6 @@ def read_trace(trace_path, meta_path):
         size = os.fstat(f.fileno()).st_size
         if size != nbytes:
             raise IOError(f"trace file has {size} bytes, metadata needs "
-                          f"{nbytes} ({expect} samples)")
+                          f"{_count(nbytes)} ({_count(expect)} samples)")
         buf = mmap.mmap(f.fileno(), nbytes, access=mmap.ACCESS_READ)
     return Trace(np.frombuffer(buf, dtype=TRACE_DTYPE), meta)

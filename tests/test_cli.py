@@ -15,7 +15,7 @@ from atomspa.cli import (DEFAULT_CONFIG, EXIT_CONFIG, EXIT_IO,
                          EXIT_NOT_RECOVERED, EXIT_OK, SECTION_KEYS, Scenario,
                          load_scenario, main)
 from atomspa.field import get_curve
-from atomspa.leakage import LeakageParams, read_trace
+from atomspa.leakage import META_COUNTS, LeakageParams, read_trace
 from atomspa.sched import Timing
 from atomspa.spa import run_attack
 
@@ -157,14 +157,24 @@ def test_non_finite_samples_are_io_error(tmp_path, capsys, value):
     assert "non-finite samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [None, -1, 1, 3, 4],
-                         ids=["empty", "minus-1", "plus-1", "plus-3", "plus-4"])
+@pytest.mark.parametrize("extra", [None, -1, 1, 3, 4, "huge"],
+                         ids=["empty", "minus-1", "plus-1", "plus-3", "plus-4",
+                              "huge-counts"])
 def test_trace_of_the_wrong_byte_size_is_io_error(tmp_path, capsys, extra):
     cfg = small_config(tmp_path)
     out = tmp_path / "run"
     main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
     data = (out / "trace.bin").read_bytes()
-    if extra is None:
+    meta = out / "trace.json"
+    if extra == "huge":
+        # three counts whose product has more digits than Python turns
+        # into text, and no ground_truth to hold pattern_count down
+        fields = json.loads(meta.read_text())
+        del fields["ground_truth"]
+        fields.update(dict.fromkeys(META_COUNTS, 10**2000))
+        meta = tmp_path / "huge.json"
+        meta.write_text(json.dumps(fields))
+    elif extra is None:
         data = b""
     elif extra < 0:
         data = data[:extra]
@@ -173,6 +183,7 @@ def test_trace_of_the_wrong_byte_size_is_io_error(tmp_path, capsys, extra):
     (out / "trace.bin").write_bytes(data)
     capsys.readouterr()
     assert main(["attack", "--trace", str(out / "trace.bin"),
+                 "--meta", str(meta),
                  "--out-dir", str(out / "report")]) == EXIT_IO
     assert f"trace file has {len(data)} bytes" in capsys.readouterr().err
 

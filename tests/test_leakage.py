@@ -4,6 +4,8 @@ import functools
 import hashlib
 import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
                            recover_scalar, scalar_for_pattern_counts)
 from atomspa.sched import (ADDSUB, MULT, Timing, addressing_diff,
                            build_schedules, mult_block_state)
+from atomspa import leakage
 from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
                              LeakageParams, Trace, read_trace, simulate_trace,
                              window_levels, write_trace)
@@ -118,15 +121,74 @@ def test_different_seeds_differ():
     assert not np.array_equal(t1.samples, t2.samples)
 
 
+def per_pattern_trace(seq, p):
+    """The noise render one pattern at a time, as the reference for the
+    block render of simulate_trace."""
+    levels = window_levels(D, A, p)
+    spp = D.cycle_count * p.samples_per_cycle
+    h = (spp + 1) // 2
+    out = []
+    for i, k in enumerate(seq):
+        w = np.repeat(levels[(seq[max(i - 1, 0)], k)], p.samples_per_cycle)
+        if p.sigma == 0:
+            out.append(w)
+            continue
+        bits = np.random.SFC64(np.random.SeedSequence([p.seed, i]))
+        words = bits.random_raw(h).view(np.uint32)
+        words >>= 8
+        u = words.astype(np.float32)
+        u *= np.float32(2.0**-24)
+        r, theta = u[:h], u[h:]
+        np.subtract(1, r, out=r)
+        np.log(r, out=r)
+        r *= np.float32(-2)
+        np.sqrt(r, out=r)
+        r *= np.float32(p.sigma)
+        theta *= np.float32(2.0 * math.pi)
+        noise = np.concatenate([np.cos(theta) * r,
+                                np.sin(theta[: spp - h]) * r[: spp - h]])
+        out.append(noise + w)
+    return np.concatenate(out)
+
+
 def test_worker_count_does_not_change_samples():
-    seq = tuple("DADDDA"[i] for i in [0, 1, 2, 3, 4, 5]) * 3
-    # samples_per_cycle 1 makes a window 109 samples long: an odd count
-    # leaves one Box-Muller sine sample unused
-    for spc in (SPC, 1):
-        p = params(sigma=0.2, seed=5, samples_per_cycle=spc)
-        t1 = simulate_trace(seq, D, A, p, workers=1)
-        t3 = simulate_trace(seq, D, A, p, workers=3)
-        assert t1.samples.tobytes() == t3.samples.tobytes()
+    # pattern counts below, at and past the edges of the BLOCK = 8 blocks
+    for n, spc, sigma in itertools.product((1, 7, 8, 9, 19), (300, 1),
+                                           (0.2, 0.0)):
+        # samples_per_cycle 1 makes a window 109 samples long: an odd count
+        # leaves one Box-Muller sine sample unused
+        seq = tuple(("DADDDA" * 4)[:n])
+        p = params(sigma=sigma, seed=5, samples_per_cycle=spc)
+        want = per_pattern_trace(seq, p).tobytes()
+        for workers in (None, 1, 2, 3):
+            t = simulate_trace(seq, D, A, p, workers=workers)
+            assert t.samples.tobytes() == want, (n, spc, sigma, workers)
+
+
+def test_a_render_leaves_no_thread_behind(monkeypatch):
+    seq = tuple(("DADDDA" * 4)[:19])
+    p = params(sigma=0.2)
+    before = threading.active_count()
+    simulate_trace(seq, D, A, p, workers=3)
+    assert threading.active_count() == before
+
+    # the calling thread renders too, so 3 workers need 2 helpers
+    sizes = []
+
+    def counted_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(leakage, "ThreadPoolExecutor", counted_pool)
+    simulate_trace(seq, D, A, p, workers=3)
+    assert sizes == [2]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool for a trace of one block")
+
+    # one block of patterns renders inline, whatever the CPU count
+    monkeypatch.setattr(leakage, "ThreadPoolExecutor", no_pool)
+    simulate_trace(seq[:8], D, A, p)
 
 
 def test_trace_length_formula():
@@ -352,6 +414,14 @@ def test_params_hash_covers_the_address_table():
         "eb92beb81529f0b42368c2b1ccee98df522ff1a11502dc94985b9d29ae7cb2d6")
     assert LeakageParams(addresses={"X1": 5}).digest() == (
         "d158dabc0d12f4251f94c4949093197db9690f51cf907f62d68af06d907ecaa1")
+    # two spellings of one number give the same samples, so the same hash
+    for one, other in (({"alpha": 1}, {"alpha": 1.0}),
+                       ({"sigma": 0}, {"sigma": 0.0}),
+                       ({"alpha": -0.0}, {"alpha": 0.0})):
+        t1 = simulate_trace(("D", "A"), D, A, params(**one))
+        t2 = simulate_trace(("D", "A"), D, A, params(**other))
+        assert t1.samples.tobytes() == t2.samples.tobytes()
+        assert t1.meta["params_hash"] == t2.meta["params_hash"]
 
 
 def test_trace_file_roundtrip(tmp_path):
