@@ -174,27 +174,24 @@ def run_pattern(kind, regs, curve, q=None):
     """Execute one atomic pattern in table order; returns the new
     register file."""
     f = curve.field
-    ops = PATTERNS[kind]
-    ext = {}
+    regs = dict(regs)
     if kind == "A":
         if q is None:
             raise ValueError("addition pattern needs the affine addend")
-        ext = {EXT_QX: q.x, EXT_QY: q.y}
-    regs = dict(regs)
-
-    def read(src):
-        return ext[src] if src in ext else regs[src]
-
-    for op in ops:
-        a = read(op.src1)
+        # the addend's ports sit in the register file while the pattern runs
+        regs[EXT_QX], regs[EXT_QY] = q.x, q.y
+    for op in PATTERNS[kind]:
+        a = regs[op.src1]
         if op.kind == "mul":
-            regs[op.dst] = f.mul(a, read(op.src2))
+            regs[op.dst] = f.mul(a, regs[op.src2])
         elif op.kind == "add":
-            regs[op.dst] = f.add(a, read(op.src2))
+            regs[op.dst] = f.add(a, regs[op.src2])
         elif op.kind == "sub":
-            regs[op.dst] = f.sub(a, read(op.src2))
+            regs[op.dst] = f.sub(a, regs[op.src2])
         else:  # copy
             regs[op.dst] = a
+    if kind == "A":
+        del regs[EXT_QX], regs[EXT_QY]
     return regs
 
 

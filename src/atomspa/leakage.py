@@ -14,15 +14,16 @@ table with one common mask changes no sample.
 
 Noise is N(0, sigma^2), drawn by the Box-Muller transform and written in
 place into the trace.  Its uniforms are (w >> 8) * 2**-24 in float32, for
-the 32-bit halves w of the raw words of an SFC64 generator that each
-pattern seeds with SeedSequence([seed, pattern index]).  The transform runs
-on blocks of BLOCK consecutive patterns, which the calling thread and, by
-default, one helper thread per further CPU take in turn, and applies the
-same float32 operations in the same order to every sample whatever the
-block or thread, so the trace is a pure function of its inputs, byte for
-byte, for any worker count.  The uniforms are multiples of 2**-24, so
-|noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of
-about 8e-9.
+the 32-bit halves w of the raw words of an SFC64 generator in the state
+that SFC64(SeedSequence([seed, pattern index])) starts from.  One numpy
+pass computes those states for all patterns at once (see _pattern_states)
+in place of a seeded generator per pattern.  The transform runs on blocks
+of BLOCK consecutive patterns, which the calling thread and, by default,
+one helper thread per further CPU take in turn, and applies the same
+float32 operations in the same order to every sample whatever the block or
+thread, so the trace is a pure function of its inputs, byte for byte, for
+any worker count.  The uniforms are multiples of 2**-24, so |noise| is
+capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of about 8e-9.
 """
 
 import hashlib
@@ -188,6 +189,55 @@ def window_levels(d_sched, a_sched, params):
     return out
 
 
+def _pattern_states(seed, n):
+    """The SFC64 states, one uint64 row of 4 per pattern index i < n, that
+    SFC64(SeedSequence([seed, i])) starts from, computed for all of them
+    at once.
+
+    This is numpy's seeding, step for step: the 32-bit words of seed and
+    then of i, zero-padded to the 4-word pool (no entropy list here is
+    longer), hashed into the pool and mixed across it, 6 words drawn from
+    the pool as 3 little-endian uint64s, and 12 rounds of SFC64 with the
+    counter set to 1.  The hash multipliers do not depend on the data, so
+    they advance as Python ints.
+    """
+    m32 = 0xFFFFFFFF
+    index = np.arange(n, dtype=np.uint64)
+    words = [seed & m32] + ([seed >> 32] if seed >> 32 else [])
+    zero = np.zeros(n, dtype=np.uint32)
+    entropy = [zero + np.uint32(w) for w in words] + [
+        (index & m32).astype(np.uint32), (index >> 32).astype(np.uint32),
+        zero, zero][: 4 - len(words)]
+    mult = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal mult
+        v = v ^ np.uint32(mult)
+        mult = mult * 0x931E8875 & m32
+        v = v * np.uint32(mult)
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = (pool[dst] * np.uint32(0xCA01F9DD)
+                     - hashmix(pool[src]) * np.uint32(0x4973F715))
+                pool[dst] = v ^ v >> 16
+    mult = 0x8B51F9DD
+    out = []
+    for k in range(6):
+        v = pool[k % 4] ^ np.uint32(mult)
+        mult = mult * 0x58F38DED & m32
+        v = v * np.uint32(mult)
+        out.append((v ^ v >> 16).astype(np.uint64))
+    a, b, c = (out[k] | out[k + 1] << 32 for k in (0, 2, 4))
+    for counter in range(1, 13):
+        a, b, c = (b ^ b >> 11, c + (c << 3),
+                   (c << 24 | c >> 40) + (a + b + np.uint64(counter)))
+    return np.stack([a, b, c, zero + np.uint64(13)], axis=-1)
+
+
 def _check_memory(samples):
     """Refuse a trace that cannot fit in this machine's physical memory."""
     need = samples * np.dtype(TRACE_DTYPE).itemsize
@@ -204,10 +254,14 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     noise is rendered BLOCK patterns at a time by up to `workers` threads,
     the calling one included, by default one per CPU this process may run
     on; the samples do not depend on either.
-    Raises ValueError for an empty sequence, one that breaks the
-    double-and-add grammar (see recover_scalar), a trace larger than
-    physical memory or samples beyond the float32 range.
+    Raises ValueError for a workers value other than None or an int >= 1,
+    an empty sequence, one that breaks the double-and-add grammar (see
+    recover_scalar), a trace larger than physical memory or samples beyond
+    the float32 range.
     """
+    if workers is not None and not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be None or an int >= 1, "
+                         f"not {workers!r}")
     seq = tuple(seq)
     if not seq:
         raise ValueError("empty pattern sequence")
@@ -232,12 +286,9 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     sigma = np.float32(params.sigma)
     two_pi = np.float32(2.0 * math.pi)
     if params.sigma > 0:
-        # seeding holds the GIL, so it runs before any helper thread starts
-        # rather than stalling the threads while they render
-        bits = [np.random.SFC64(np.random.SeedSequence([params.seed, i]))
-                for i in range(n)]
+        states = _pattern_states(params.seed, n)
 
-    def render(start, u):
+    def render(start, u, gen):
         stop = min(start + BLOCK, n)
         out = total[start * spp : stop * spp].reshape(stop - start, spp)
         # the first window starts from the line state its own kind leaves
@@ -249,7 +300,10 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
             return
         u = u[: stop - start]
         for row, i in zip(u, range(start, stop)):
-            words = bits[i].random_raw(h).view(np.uint32)
+            gen.state = {"bit_generator": "SFC64",
+                         "state": {"state": states[i]},
+                         "has_uint32": 0, "uinteger": 0}
+            words = gen.random_raw(h).view(np.uint32)
             words >>= 8
             row[:] = words  # below 2**24, so float32 holds each one exactly
         u *= np.float32(2.0**-24)  # uniforms in [0, 1), 24 bits each
@@ -274,24 +328,27 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     # iterator is atomic under the GIL
     blocks = iter(starts)
 
-    def drain(u):
+    def drain(u, gen):
         for start in blocks:
-            render(start, u)
+            render(start, u, gen)
 
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(starts))
-    # one scratch block per thread, made here rather than in the threads
+    # one scratch block and one generator per thread, made here rather than
+    # in the threads; each generator is set to a pattern's state before use
     scratch = np.empty((workers, min(BLOCK, n), 2 * h), dtype=np.float32)
+    gens = [np.random.SFC64() for _ in range(workers)]
     if workers > 1:
         # the calling thread renders beside workers - 1 helpers
         with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain, u) for u in scratch[1:]]
-            drain(scratch[0])
+            helpers = [pool.submit(drain, *w)
+                       for w in zip(scratch[1:], gens[1:])]
+            drain(scratch[0], gens[0])
         for f in helpers:
             f.result()
     else:
-        drain(scratch[0])
+        drain(scratch[0], gens[0])
 
     meta = {
         "samples_per_cycle": params.samples_per_cycle,

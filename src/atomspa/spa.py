@@ -158,9 +158,10 @@ def _blind_recovery(labels, n):
     cols = np.flatnonzero(ok_a | ok_b)
     if cols.size == 0:
         return None, 0, -1
-    seqs = labels[:, cols] ^ (valid * ok_b[cols])
-    # one opaque bytes key per column, so np.unique groups equal sequences
-    packed = np.ascontiguousarray(seqs.T)
+    # one candidate sequence per row; the XOR turns a flipped one as-is
+    packed = np.ascontiguousarray(labels.T[cols])
+    packed[ok_b[cols]] ^= valid[:, 0]
+    # one opaque bytes key per row, so np.unique groups equal sequences
     keys = packed.view(f"V{packed.shape[1]}").ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     # highest support wins, and a tie goes to the lowest sample index (not
@@ -222,22 +223,22 @@ def write_report(report, out_dir):
         return [txt]
     csv_path = os.path.join(out_dir, "attack_correctness.csv")
     spc = report.samples_per_pattern // report.per_cycle_max.size
-    # a curve takes at most pattern_count + 1 distinct values, so each is
+    # a curve takes at most pattern_count + 1 distinct values, and the
+    # folded value is a function of the as-is one, so each distinct pair is
     # formatted once
     n = report.correctness_curve.size
-    values, idx = np.unique(
-        np.concatenate([report.correctness_curve, report.folded_curve]),
-        return_inverse=True)
-    text = [f"{v:.4f}" for v in values.tolist()]
+    values, first, idx = np.unique(report.correctness_curve,
+                                   return_index=True, return_inverse=True)
+    text = [f"{v:.4f},{w:.4f}" for v, w in
+            zip(values.tolist(), report.folded_curve[first].tolist())]
     # one flat field list rendered by a single format call
-    fields = [None] * (4 * n)
-    fields[0::4] = range(n)
-    fields[1::4] = (np.arange(n) // spc + 1).tolist()
-    fields[2::4] = [text[i] for i in idx[:n].tolist()]
-    fields[3::4] = [text[i] for i in idx[n:].tolist()]
+    fields = [None] * (3 * n)
+    fields[0::3] = range(n)
+    fields[1::3] = (np.arange(n) // spc + 1).tolist()
+    fields[2::3] = [text[i] for i in idx.tolist()]
     with open(csv_path, "w", newline="") as f:
         f.write("sample,clock_cycle,correctness_pct,folded_pct\r\n")
-        f.write(("%d,%d,%s,%s\r\n" * n) % tuple(fields))
+        f.write(("%d,%d,%s\r\n" * n) % tuple(fields))
     svg_path = os.path.join(out_dir, "attack_correctness.svg")
     with open(svg_path, "w") as f:
         f.write(correctness_svg(report))

@@ -6,7 +6,7 @@ import pytest
 
 from atomspa.field import get_curve, Curve
 from atomspa.atoms import (ADD_PATTERN, DOUBLE_PATTERN, AffinePoint, INFINITY,
-                           ScalarK, affine_add, affine_double,
+                           REGISTER_NAMES, ScalarK, affine_add, affine_double,
                            fresh_registers, k_mul, reference_k_mul,
                            run_pattern, scalar_for_pattern_counts, to_affine)
 
@@ -209,6 +209,13 @@ def test_scalar_for_pattern_counts():
         with pytest.raises(ValueError,
                            match="unsatisfiable scalar constraints"):
             scalar_for_pattern_counts(bits, ones, P256)
+
+
+def test_run_pattern_returns_only_the_register_file():
+    # the addend's QX/QY ports are read during an addition, never kept
+    regs = run_pattern("D", fresh_registers(G), P256)
+    assert tuple(regs) == REGISTER_NAMES
+    assert tuple(run_pattern("A", regs, P256, G)) == REGISTER_NAMES
 
 
 def test_run_pattern_requires_addend():

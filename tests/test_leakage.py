@@ -355,13 +355,32 @@ def test_trace_with_an_address_override_is_pinned():
 
 def test_small_noisy_trace_is_pinned():
     # the noise bits: a change of generator, seeding or uniform mapping
-    # shows up here
+    # shows up here, for a seed of one 32-bit entropy word and one of two
     seq = ("D", "A", "D", "D", "A", "D", "A")
-    t = simulate_trace(seq, D, A, params(sigma=0.3, seed=3,
-                                         samples_per_cycle=1))
-    assert t.samples.size == 7 * 109
-    assert hashlib.sha256(t.samples.tobytes()).hexdigest() == (
-        "1b167e6eb52c744ff74a283547358fa9b07c68613dc1aa914e39adc2a48852e8")
+    for seed, digest in (
+            (3, "1b167e6eb52c744ff74a283547358fa9"
+                "b07c68613dc1aa914e39adc2a48852e8"),
+            (2**32 + 5, "e79e9eec008db3f9debcbcacff344e59"
+                        "27d4c4ac678f8ae14aebca2334f9117c")):
+        t = simulate_trace(seq, D, A, params(sigma=0.3, seed=seed,
+                                             samples_per_cycle=1))
+        assert t.samples.size == 7 * 109
+        assert hashlib.sha256(t.samples.tobytes()).hexdigest() == digest
+
+
+def test_pattern_states_are_numpys_seeding():
+    # seeds of one and two 32-bit entropy words, at the edges of each
+    states = {seed: leakage._pattern_states(seed, 400)
+              for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1)}
+    for (seed, got), i in itertools.product(states.items(), (0, 1, 7, 399)):
+        want = np.random.SFC64(np.random.SeedSequence([seed, i]))
+        np.testing.assert_array_equal(got[i], want.state["state"]["state"])
+
+
+def test_bad_worker_counts_rejected():
+    for bad in (0, -1, True):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_trace(("D", "A"), D, A, params(sigma=0.2), workers=bad)
 
 
 def test_samples_not_finite_in_float32_rejected():
