@@ -313,7 +313,8 @@ def scalar_for_pattern_counts(bit_length, ones_below_msb, curve, seed=1):
                          f"ones below its leading one is below the "
                          f"{curve.n.bit_length()}-bit group order")
     rng = random.Random(seed)
-    for _ in range(10000):
+    draws = 10000
+    for _ in range(draws):
         positions = rng.sample(range(bit_length - 1), ones_below_msb)
         bits = [1] + [0] * (bit_length - 1)
         for pos in positions:
@@ -321,4 +322,6 @@ def scalar_for_pattern_counts(bit_length, ones_below_msb, curve, seed=1):
         k = ScalarK(tuple(bits))
         if 1 <= k.value < curve.n:
             return k
-    raise ValueError("could not satisfy scalar constraints")
+    raise ValueError(f"no {bit_length}-bit scalar with {ones_below_msb} ones "
+                     f"below its leading one and below n found in {draws} "
+                     f"draws; try another pick_seed")

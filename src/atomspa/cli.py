@@ -60,11 +60,10 @@ class Scenario(NamedTuple):
     leakage: LeakageParams
 
 
-def load_scenario(path=None, seed=None):
+def load_scenario(path=None):
     """Parse a JSON scenario config into a Scenario; a missing path or key
-    takes the reference scenario.  seed overrides leakage.seed.  Raises
-    ValueError for any config that cannot run, and IOError for a file that
-    cannot be read."""
+    takes the reference scenario.  Raises ValueError for any config that
+    cannot run, and IOError for a file that cannot be read."""
     user = {}
     if path:
         try:
@@ -92,12 +91,9 @@ def load_scenario(path=None, seed=None):
     if not isinstance(cfg["curve"], str):
         raise ConfigError(f"curve must be a name, not {cfg['curve']!r}")
     curve = get_curve(cfg["curve"])
-    leakage = cfg["leakage"]
-    if seed is not None:
-        leakage = {**leakage, "seed": seed}
     return Scenario(curve, _scalar(cfg["scalar"], curve),
                     _point(cfg["base_point"], curve), Timing(**cfg["timing"]),
-                    LeakageParams(**leakage))
+                    LeakageParams(**cfg["leakage"]))
 
 
 def _scalar(spec, curve):
@@ -144,7 +140,7 @@ def _point(spec, curve):
 
 
 def cmd_simulate(args):
-    curve, k, point, timing, params = load_scenario(args.config, args.seed)
+    curve, k, point, timing, params = load_scenario(args.config)
     d, a = build_schedules(timing)
     _result, seq = k_mul(k, point, curve)
     trace = simulate_trace(seq, d, a, params)
@@ -173,10 +169,8 @@ def cmd_attack(args):
         print(line)
     for p in paths:
         print(f"wrote {p}")
-    truth = trace.meta.get("ground_truth")
-    if truth is not None:
-        got = report.recovered_bits
-        if got is None or got != recover_scalar(truth):
+    if report.ground_truth is not None:
+        if report.recovered_bits != recover_scalar(report.ground_truth):
             print("scalar NOT recovered")
             return EXIT_NOT_RECOVERED
         print("scalar fully recovered")
@@ -215,7 +209,6 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="simulate a kP power trace")
     sim.add_argument("--config", help="JSON scenario config")
-    sim.add_argument("--seed", type=int, help="override the leakage seed")
     sim.add_argument("--out-dir", default=".", help="output directory")
     sim.set_defaults(func=cmd_simulate)
 

@@ -24,8 +24,9 @@ P256_GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 P256_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 
-def _segments(x, count=SEGMENT_COUNT):
-    return tuple((x >> (SEGMENT_BITS * i)) & SEGMENT_MASK for i in range(count))
+def _segments(x):
+    return tuple((x >> (SEGMENT_BITS * i)) & SEGMENT_MASK
+                 for i in range(SEGMENT_COUNT))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ without a preceding doubling) and reads bits off the pattern sequence with
 atoms.recover_scalar.  Without ground truth in the trace metadata there is
 no correctness to measure: the attack still recovers, and its report holds
 only the summary.
+
+Every step takes a float32 Trace as leakage.read_trace or
+leakage.simulate_trace made it: those two check its length, its dtype and
+its ground truth, and the steps here do not check them again.
 """
 
 import os
@@ -67,63 +71,45 @@ class AttackReport:
 
 def segment(trace):
     """Cut the trace into a (pattern_count, samples_per_pattern) matrix."""
-    spp = trace.samples_per_pattern
-    if trace.samples.size % spp:
-        raise ValueError(
-            f"trace length {trace.samples.size} not divisible by {spp}")
-    return trace.samples.reshape(-1, spp)
+    return trace.samples.reshape(-1, trace.samples_per_pattern)
 
 
 def mean_pattern(matrix):
     """Column-wise arithmetic mean: the threshold pattern."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] < 1:
-        raise ValueError("need a non-empty pattern matrix")
-    return m.mean(axis=0, dtype=np.float64)
+    return matrix.mean(axis=0, dtype=np.float64)
 
 
 def classify_matrix(matrix, threshold):
-    """Labels packed along the pattern axis: strictly above the threshold;
-    ties are False.
+    """Labels of float32 samples packed along the pattern axis: strictly
+    above the threshold; ties are False.
 
     Returns a (ceil(pattern_count / 8), samples_per_pattern) uint8 array in
     np.packbits bit order (row r is bit 7 - r % 8 of byte r // 8) with zero
     padding, built one row at a time so the boolean matrix never exists.
     """
-    m = np.asarray(matrix)
-    thr = np.asarray(threshold)
-    if thr.shape != (m.shape[1],):
-        raise ValueError("threshold length does not match the matrix")
-    if m.dtype == np.float32:
-        # a float32 x lies above t exactly when it lies above the largest
-        # float32 at or below t, and comparing in float32 casts nothing
-        down = thr.astype(np.float32)
-        thr = np.where(down > thr, np.nextafter(down, np.float32(-np.inf)),
-                       down)
-    packed = np.zeros(((m.shape[0] + 7) // 8, m.shape[1]), dtype=np.uint8)
-    above = np.empty(m.shape[1], dtype=bool)
-    for r, row in enumerate(m):
+    # a float32 x lies above t exactly when it lies above the largest
+    # float32 at or below t, and comparing in float32 casts nothing
+    down = threshold.astype(np.float32)
+    thr = np.where(down > threshold, np.nextafter(down, np.float32(-np.inf)),
+                   down)
+    packed = np.zeros(((matrix.shape[0] + 7) // 8, matrix.shape[1]),
+                      dtype=np.uint8)
+    above = np.empty(matrix.shape[1], dtype=bool)
+    for r, row in enumerate(matrix):
         np.greater(row, thr, out=above)
         # shift the byte's earlier rows up one bit and put this row last
         byte = packed[r // 8]
         byte += byte
         byte |= above.view(np.uint8)
     # rows of a partial last byte still sit at its low end
-    packed[-1] <<= -m.shape[0] % 8
+    packed[-1] <<= -matrix.shape[0] % 8
     return packed
-
-
-def _truth_array(truth):
-    return np.asarray([k == "A" for k in truth], dtype=bool)
 
 
 def correctness_curve(labels, truth):
     """As-is correctness for every candidate, from packed labels (see
-    classify_matrix; label True = 'A').  Packed labels only show their
-    pattern count to the byte, so that is what the length check sees."""
-    t = _truth_array(truth)
-    if labels.shape[0] != (t.size + 7) // 8:
-        raise ValueError("labels and ground truth differ in length")
+    classify_matrix; label True = 'A')."""
+    t = np.asarray([k == "A" for k in truth], dtype=bool)
     wrong = np.bitwise_count(labels ^ np.packbits(t)[:, None]).sum(
         axis=0, dtype=np.int64)
     return 100.0 * (t.size - wrong) / t.size

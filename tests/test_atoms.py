@@ -211,6 +211,19 @@ def test_scalar_for_pattern_counts():
             scalar_for_pattern_counts(bits, ones, P256)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scalar_search_that_finds_nothing_names_its_cause(seed):
+    # only the smallest 20-bit scalar with 10 ones below its leading one,
+    # 0x803ff, lies below this group order, and random draws miss it
+    n = ((1 << 19) | 1023) + 1
+    tight = Curve("tight", 23, 20, 1, 0, 1, n)
+    with pytest.raises(ValueError) as exc:
+        scalar_for_pattern_counts(20, 10, tight, seed=seed)
+    assert str(exc.value) == (
+        "no 20-bit scalar with 10 ones below its leading one and below n "
+        "found in 10000 draws; try another pick_seed")
+
+
 def test_run_pattern_returns_only_the_register_file():
     # the addend's QX/QY ports are read during an addition, never kept
     regs = run_pattern("D", fresh_registers(G), P256)

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import atomspa
 from atomspa.atoms import (AffinePoint, affine_double,
                            scalar_for_pattern_counts)
 from atomspa.cli import (DEFAULT_CONFIG, EXIT_CONFIG, EXIT_IO,
@@ -71,12 +75,16 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 
 def test_seed_override_changes_trace(tmp_path):
-    cfg = small_config(tmp_path)
+    # leakage.seed in the config is the one way a run picks its noise seed
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["simulate", "--config", str(cfg), "--out-dir", str(out1)])
-    main(["simulate", "--config", str(cfg), "--seed", "99",
+    main(["simulate", "--config", str(small_config(tmp_path)),
+          "--out-dir", str(out1)])
+    main(["simulate", "--config", str(small_config(tmp_path, seed=99)),
           "--out-dir", str(out2)])
     assert (out1 / "trace.bin").read_bytes() != (out2 / "trace.bin").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "5", "--out-dir", str(tmp_path / "c")])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_null_leakage_not_recovered(tmp_path, capsys):
@@ -201,6 +209,19 @@ def test_bad_curve_and_bad_json(tmp_path):
 def test_missing_trace_is_io_error(tmp_path):
     assert main(["attack", "--trace", str(tmp_path / "missing.bin"),
                  "--out-dir", str(tmp_path)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("args, status", [
+    (["attack", "--trace", "missing.bin"], EXIT_IO),
+    (["diagram", "--out-dir", "out"], EXIT_OK),
+])
+def test_process_exit_status(tmp_path, args, status):
+    # the status the shell sees is main()'s return value
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(atomspa.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "atomspa.cli", *args],
+                          cwd=tmp_path, env=env, capture_output=True)
+    assert done.returncode == status, done.stderr
 
 
 def test_unreadable_config_is_io_error(tmp_path, capsys):

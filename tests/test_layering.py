@@ -93,3 +93,63 @@ def test_every_function_has_a_caller_in_the_package():
               and name not in referenced and qualified not in ENTRY_POINTS
               and qualified.partition(".")[2] not in atomspa.__all__]
     assert not unused, unused
+
+
+# parameters whose defaults no call in the package overrides, by design
+UNSET_DEFAULTS = {
+    "cli.main.argv": "the console-script entry point calls main() bare",
+    "leakage.simulate_trace.workers":
+        "acceptance criterion 9 sets it to pin worker-count independence",
+}
+
+
+def _defaults(node, prefix, in_class=False):
+    """(qualified parameter name, function name, position or None) of every
+    parameter with a default under node; the position counts the arguments
+    a call writes, so a method's bound self or cls is not counted."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaults(child, f"{prefix}.{child.name}", True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            positional = a.posonlyargs + a.args
+            bound = in_class and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list)
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield (f"{prefix}.{child.name}.{arg.arg}", child.name,
+                       i - bound)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}.{child.name}.{arg.arg}", child.name, None
+            yield from _defaults(child, f"{prefix}.{child.name}")
+        else:
+            yield from _defaults(child, prefix, in_class)
+
+
+def test_every_default_is_overridden_by_a_call_in_the_package():
+    # a parameter that every caller leaves at its default is a knob that
+    # changes nothing
+    defaults, calls = [], {}
+    for name in LAYERS:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        defaults += _defaults(tree, name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
+            # a starred argument or ** mapping may pass any parameter
+            splat = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(callee, []).append((
+                float("inf") if splat else len(node.args),
+                {k.arg for k in node.keywords}))
+    unset = [qualified for qualified, func, position in defaults
+             if qualified not in UNSET_DEFAULTS
+             and not any(qualified.rpartition(".")[2] in keywords
+                         or None in keywords
+                         or position is not None and count > position
+                         for count, keywords in calls.get(func, ()))]
+    assert not unset, unset
