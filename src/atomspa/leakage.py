@@ -7,8 +7,9 @@ to the Hamming distance between the bus address lines of this cycle and the
 previous one, and Gaussian noise.  The address lines hold their value across
 silent cycles, across the window boundary too, so the final write-back of
 one pattern leaks into the next window.  The noiseless trace is therefore
-four per-cycle level vectors, one per (previous kind, kind) window (see
-window_levels), each cycle's level repeated samples_per_cycle times.  Only
+three per-cycle level vectors, one per window of WINDOWS (see line_walk and
+window_levels; ("A", "A") cannot occur, as a doubling precedes every
+addition), each cycle's level repeated samples_per_cycle times.  Only
 Hamming distances reach the samples, so XOR-ing every code of the address
 table with one common mask changes no sample.
 
@@ -46,6 +47,8 @@ NOISE_CAP = 5.7682      # bound on |noise| / sigma, see the module docstring
 META_COUNTS = ("samples_per_cycle", "cycles_per_pattern", "pattern_count")
 BLOCK = 8               # patterns per task of the noise render
 ADDRESS_BITS = 6
+# (previous kind, kind) of every window a double-and-add sequence holds
+WINDOWS = (("D", "D"), ("D", "A"), ("A", "D"))
 
 # Default address codes, ADDRESS_BITS wide.  The attack separates the two
 # patterns by the Hamming distance between consecutive bus addresses, so the
@@ -150,42 +153,48 @@ class Trace:
         return self.meta["samples_per_cycle"] * self.meta["cycles_per_pattern"]
 
 
-def window_levels(d_sched, a_sched, params):
-    """Noiseless per-cycle levels of the four pattern windows.
-
-    Returns {(previous kind, kind): levels}, each a TRACE_DTYPE array of
-    cycle_count levels: the base level of the cycle's block states plus
-    alpha times the Hamming distance of the (src, dst) address lines from
-    the previous cycle.  The lines are walked once over the previous kind's
-    events and then this kind's, so they hold across silent cycles and
-    across the window boundary.  Raises ValueError when the schedules
-    disagree on the pattern length.
-    """
+def line_walk(d_sched, a_sched):
+    """{window: states} for each of WINDOWS: the (src, dst) register names
+    on the bus address lines, the state the previous window leaves and then
+    one per cycle.  A silent cycle issues no addressing, so the lines hold
+    their names through it, across the window boundary too.  Raises
+    ValueError when the schedules disagree on the pattern length."""
     if d_sched.cycle_count != a_sched.cycle_count:
         raise ValueError("schedules disagree on the pattern length")
-    n = d_sched.cycle_count
     sched = {"D": d_sched, "A": a_sched}
+    out = {}
+    for pk, k in WINDOWS:
+        state, states = None, []
+        for ev in sched[pk].events + sched[k].events:
+            if ev.src_name is not None:
+                state = (ev.src_name, ev.dst_names[0])
+            states.append(state)
+        out[(pk, k)] = states[-d_sched.cycle_count - 1:]
+    return out
+
+
+def window_levels(d_sched, a_sched, params):
+    """{window: levels} for each of WINDOWS: a TRACE_DTYPE array of
+    cycle_count levels, each the base level of the cycle's block states plus
+    alpha times the Hamming distance of its line_walk names, encoded with
+    the address table, from the previous cycle's.  Raises ValueError as
+    line_walk does."""
     lv = DEFAULT_BASE_LEVELS
     table = params.address_table()
+    base = {k: np.array([lv[f"mult:{mult_block_state(ev.mult_state)}"]
+                         + lv[f"addsub:{ev.addsub_state}"]
+                         for ev in sched.events])
+            for k, sched in zip(KINDS, (d_sched, a_sched))}
     out = {}
     # an overflow to inf is reported by simulate_trace, not as a warning
     with np.errstate(over="ignore"):
-        for k in KINDS:
-            base = np.array([lv[f"mult:{mult_block_state(ev.mult_state)}"]
-                             + lv[f"addsub:{ev.addsub_state}"]
-                             for ev in sched[k].events])
-            for pk in KINDS:
-                lines, src, dst = [], 0, 0
-                for ev in sched[pk].events + sched[k].events:
-                    if ev.src_name is not None:
-                        src = table[ev.src_name]
-                        dst = table[ev.dst_names[0]] if ev.dst_names else dst
-                    lines.append(src << ADDRESS_BITS | dst)
-                lines = np.array(lines)
-                # the counts are uint8, a dtype an int alpha would keep
-                flips = np.bitwise_count(lines[1:] ^ lines[:-1])[-n:]
-                leak = params.alpha * flips.astype(np.float64)
-                out[(pk, k)] = (base + leak).astype(TRACE_DTYPE)
+        for (pk, k), states in line_walk(d_sched, a_sched).items():
+            lines = np.array([table[src] << ADDRESS_BITS | table[dst]
+                              for src, dst in states])
+            # the counts are uint8, a dtype an int alpha would keep
+            flips = np.bitwise_count(lines[1:] ^ lines[:-1])
+            leak = params.alpha * flips.astype(np.float64)
+            out[(pk, k)] = (base[k] + leak).astype(TRACE_DTYPE)
     return out
 
 

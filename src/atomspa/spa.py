@@ -34,7 +34,7 @@ class AttackReport:
     correctness_curve: np.ndarray      # as-is percentages, one per sample
     folded_curve: np.ndarray           # max of as-is and flipped
     perfect_count: int
-    per_cycle_max: np.ndarray          # folded maximum per clock cycle
+    cycles_per_pattern: int
     recovered_bits: tuple              # None when not recovered
     recovered_support: int             # candidates agreeing on the recovery
     best_sample: int
@@ -172,14 +172,12 @@ def run_attack(trace):
     labels = classify_matrix(matrix, threshold)
 
     truth = trace.meta.get("ground_truth")
-    curve = folded = per_cycle = None
+    curve = folded = None
     perfect = 0
     if truth is not None:
         curve = correctness_curve(labels, truth)
         folded = np.maximum(curve, 100.0 - curve)
         perfect = int((folded >= 100.0).sum())
-        per_cycle = folded.reshape(trace.meta["cycles_per_pattern"],
-                                   -1).max(axis=1)
 
     bits, support, best_j = _blind_recovery(labels, matrix.shape[0])
 
@@ -189,7 +187,7 @@ def run_attack(trace):
         correctness_curve=curve,
         folded_curve=folded,
         perfect_count=perfect,
-        per_cycle_max=per_cycle,
+        cycles_per_pattern=trace.meta["cycles_per_pattern"],
         recovered_bits=bits,
         recovered_support=support,
         best_sample=best_j,
@@ -208,7 +206,7 @@ def write_report(report, out_dir):
     if report.ground_truth is None:
         return [txt]
     csv_path = os.path.join(out_dir, "attack_correctness.csv")
-    spc = report.samples_per_pattern // report.per_cycle_max.size
+    spc = report.samples_per_pattern // report.cycles_per_pattern
     # a curve takes at most pattern_count + 1 distinct values, and the
     # folded value is a function of the as-is one, so each distinct pair is
     # formatted once

@@ -56,6 +56,19 @@ def test_the_grammar_has_one_owner():
             assert ("atomspa.atoms", "recover_scalar") in taken, name
 
 
+def test_the_address_lines_have_one_walk():
+    # the names a cycle puts on the bus address lines are read from its
+    # events in leakage.line_walk alone; the power model and the attack take
+    # them from there (diagram draws the names, so it reads them itself)
+    readers = set()
+    for name in ("leakage", "spa"):
+        for top in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+            if any(isinstance(n, ast.Attribute)
+                   and n.attr in ("src_name", "dst_names")
+                   for n in ast.walk(top)):
+                readers.add((name, getattr(top, "name", None)))
+    assert readers == {("leakage", "line_walk")}
+
 
 # called from outside the package by design: the CLI entry point, and the
 # oracles that the acceptance criteria compare the lab against; the public

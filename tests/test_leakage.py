@@ -17,8 +17,9 @@ from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
 from atomspa.sched import (ADDSUB, MULT, Timing, addressing_diff,
                            build_schedules, mult_block_state)
 from atomspa import leakage
-from atomspa.leakage import (DEFAULT_ADDRESS_CODES, DEFAULT_BASE_LEVELS,
-                             LeakageParams, Trace, read_trace, simulate_trace,
+from atomspa.leakage import (ADDRESS_BITS, DEFAULT_ADDRESS_CODES,
+                             DEFAULT_BASE_LEVELS, WINDOWS, LeakageParams,
+                             Trace, line_walk, read_trace, simulate_trace,
                              window_levels, write_trace)
 from atomspa.spa import run_attack
 
@@ -66,29 +67,17 @@ def test_null_model_patterns_identical():
 
 
 def _diff_closure():
-    """Cycles whose samples may differ between the kinds.
+    """Cycles whose samples may differ between the kinds after a doubling.
 
     The leak at a cycle compares the address lines against their previous
-    state, and the lines hold across silent cycles, so a difference can
-    surface at a differing cycle itself or at the first transition out of a
-    held differing state; the window boundary cycle is always exposed.
+    state, and the lines hold across silent cycles (see line_walk), so a
+    difference can surface at a cycle whose line names differ or at the
+    transition out of one.
     """
-    def held(sched):
-        state, out = None, []
-        for ev in sched.events:
-            if ev.src_name is not None:
-                state = (ev.src_name, ev.dst_names)
-            out.append(state)
-        return out
-
-    hd, ha = held(D), held(A)
-    out = {1}
-    for c in range(1, D.cycle_count + 1):
-        if hd[c - 1] != ha[c - 1]:
-            out.add(c)
-        if c > 1 and hd[c - 2] != ha[c - 2]:
-            out.add(c)
-    return out
+    walk = line_walk(D, A)
+    d, a = walk["D", "D"], walk["D", "A"]
+    return {c for c in range(1, D.cycle_count + 1)
+            if d[c] != a[c] or d[c - 1] != a[c - 1]}
 
 
 def test_zero_noise_differences_localized():
@@ -253,7 +242,7 @@ def test_first_window_starts_from_its_own_kinds_line_state():
 def test_noiseless_trace_repeats_the_window_levels():
     p = params()
     lv = window_levels(D, A, p)
-    assert set(lv) == {("D", "D"), ("D", "A"), ("A", "D"), ("A", "A")}
+    assert set(lv) == set(WINDOWS)
     seq = ("D", "D", "A", "D", "A", "D")
     want = np.concatenate([np.repeat(lv[pk, k], SPC)
                            for pk, k in zip(seq[:1] + seq[:-1], seq)])
@@ -262,6 +251,8 @@ def test_noiseless_trace_repeats_the_window_levels():
 
 def test_schedules_of_different_lengths_rejected():
     _, classical_a = build_schedules(Timing(mul_plan="classical"))
+    with pytest.raises(ValueError, match="pattern length"):
+        line_walk(D, classical_a)
     with pytest.raises(ValueError, match="pattern length"):
         window_levels(D, classical_a, params())
     with pytest.raises(ValueError, match="pattern length"):
@@ -286,21 +277,72 @@ def test_address_lines_hold_across_the_window_boundary(schedulable_grid):
                 timing
 
 
+def _leaks(lv):
+    """The level model's leaking cycles: both D windows (after a D and
+    after an A) differ in level from the A window (always after a D)."""
+    return (lv["D", "D"] != lv["D", "A"]) & (lv["A", "D"] != lv["D", "A"])
+
+
 def test_level_model_predicts_the_attacks_leaking_cycles(schedulable_grid):
-    # a cycle leaks when both D windows (after a D and after an A) differ
-    # in level from the A window (always after a D); at zero noise those
-    # are exactly the cycles where some sample classifies every pattern
+    # at zero noise the leaking cycles are exactly the cycles where some
+    # sample classifies every pattern
     seq = reference_sequence()
     p = params(samples_per_cycle=1)
     for timing, d, a in schedulable_grid:
-        lv = window_levels(d, a, p)
-        leaks = (lv["D", "D"] != lv["D", "A"]) & (lv["A", "D"] != lv["D", "A"])
-        report = run_attack(simulate_trace(seq, d, a, p))
-        assert np.array_equal(leaks, report.per_cycle_max >= 100.0), timing
+        leaks = _leaks(window_levels(d, a, p))
+        folded = run_attack(simulate_trace(seq, d, a, p)).folded_curve
+        per_cycle_max = folded.reshape(d.cycle_count, -1).max(axis=1)
+        assert np.array_equal(leaks, per_cycle_max >= 100.0), timing
         if timing == Timing():
             cycles = set(np.flatnonzero(leaks) + 1)
             assert len(cycles) == 53
             assert DIFF_CYCLES < cycles
+
+
+def _name_changes(states):
+    """Per cycle of a line_walk window: do the line names change?"""
+    return np.array([s != t for s, t in zip(states[:-1], states[1:])])
+
+
+def _forced_leaks(walk):
+    """Cycles whose names change in both D windows but not in the A window,
+    or the other way round: with distinct codes they leak under any table."""
+    dd, da, ad = (_name_changes(walk[pk, k]) for pk, k in ("DD", "DA", "AD"))
+    return (dd & ad & ~da) | (~dd & ~ad & da)
+
+
+def test_forced_leak_cycles_are_pinned():
+    for timing, cycles in (
+            (Timing(), [15, 25, 62, 63, 75, 92, 109]),
+            (Timing(overlap=False), [15, 136]),
+            (Timing(mul_plan="classical"),
+             [22, 39, 104, 105, 124, 148, 179])):
+        walk = line_walk(*build_schedules(timing))
+        assert list(np.flatnonzero(_forced_leaks(walk)) + 1) == cycles
+
+
+def test_the_lines_flip_exactly_where_the_names_change(schedulable_grid):
+    # under the default table and random injective ones: a level leaves its
+    # base level exactly where line_walk's names change, and every forced
+    # leak is a leaking cycle of the level model
+    rng = np.random.default_rng(21)
+    names = sorted(DEFAULT_ADDRESS_CODES)
+    tables = [None] + [
+        dict(zip(names, rng.choice(1 << ADDRESS_BITS, len(names),
+                                   replace=False).tolist()))
+        for _ in range(4)]
+    for timing, d, a in schedulable_grid:
+        walk = line_walk(d, a)
+        assert set(walk) == set(WINDOWS)
+        assert {len(s) for s in walk.values()} == {d.cycle_count + 1}
+        base = window_levels(d, a, params(alpha=0.0))
+        forced = _forced_leaks(walk)
+        for table in tables:
+            lv = window_levels(d, a, params(addresses=table))
+            for w in WINDOWS:
+                assert np.array_equal(lv[w] != base[w],
+                                      _name_changes(walk[w])), (timing, w)
+            assert not (forced & ~_leaks(lv)).any(), (timing, table)
 
 
 def test_noise_is_float32_normal_scaled_by_sigma():

@@ -264,7 +264,7 @@ def test_run_attack_end_to_end():
     assert rep.recovered
     assert rep.recovered_scalar.value == k
     assert rep.perfect_count >= 1
-    assert rep.per_cycle_max.size == D.cycle_count
+    assert rep.cycles_per_pattern == D.cycle_count
 
 
 def test_run_attack_null_model_fails_closed():
@@ -330,7 +330,8 @@ def test_blind_report_is_only_the_summary(tmp_path):
     blind = run_attack(Trace(trace.samples, {
         k: v for k, v in trace.meta.items() if k != "ground_truth"}))
     assert blind.recovered
-    assert blind.folded_curve is None and blind.per_cycle_max is None
+    assert blind.folded_curve is None
+    assert blind.cycles_per_pattern == D.cycle_count
     lines = blind.summary_lines()
     assert "perfect candidates  : n/a (no ground truth)" in lines
     assert "max correctness     : n/a (no ground truth)" in lines
