@@ -220,7 +220,7 @@ def k_mul(k, point, curve):
     point.validate(curve)
     if point.infinity:
         raise ValueError("base point must not be infinity")
-    if not (1 <= k.value < curve.n):
+    if k.value >= curve.n:
         raise ValueError("scalar must be in [1, n)")
 
     f = curve.field
@@ -320,7 +320,7 @@ def scalar_for_pattern_counts(bit_length, ones_below_msb, curve, seed=1):
         for pos in positions:
             bits[1 + pos] = 1
         k = ScalarK(tuple(bits))
-        if 1 <= k.value < curve.n:
+        if k.value < curve.n:
             return k
     raise ValueError(f"no {bit_length}-bit scalar with {ones_below_msb} ones "
                      f"below its leading one and below n found in {draws} "

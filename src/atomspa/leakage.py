@@ -35,7 +35,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -96,10 +95,13 @@ class LeakageParams:
     addresses: dict = None      # overrides for DEFAULT_ADDRESS_CODES entries
 
     def __post_init__(self):
-        if not _is_int(self.samples_per_cycle) or self.samples_per_cycle < 1:
+        # exactly int, and alpha and sigma int or float: json, which writes
+        # the hash and the sidecar, takes no numpy int or float32
+        if type(self.samples_per_cycle) is not int or \
+                self.samples_per_cycle < 1:
             raise ValueError(f"samples_per_cycle must be an int >= 1, "
                              f"not {self.samples_per_cycle!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2**64), "
                              f"not {self.seed!r}")
         _check_real("alpha", self.alpha)
@@ -132,13 +134,9 @@ class LeakageParams:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _is_int(v):
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
 def _check_real(name, v):
     # compared exactly: math.isfinite overflows on huge ints
-    if isinstance(v, bool) or not isinstance(v, Real) or \
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or \
             not abs(v) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, not {v!r}")
 
@@ -268,7 +266,7 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     recover_scalar), a trace larger than physical memory or samples beyond
     the float32 range.
     """
-    if workers is not None and not (_is_int(workers) and workers >= 1):
+    if workers is not None and not (type(workers) is int and workers >= 1):
         raise ValueError(f"workers must be None or an int >= 1, "
                          f"not {workers!r}")
     seq = tuple(seq)
@@ -379,6 +377,8 @@ def write_trace(trace, trace_path, meta_path):
     The samples go to a new file that then replaces trace_path, so a trace
     still mapped from the old file (see read_trace) keeps its samples.
     """
+    # rendered first, so a sidecar json cannot write leaves both files alone
+    sidecar = json.dumps(trace.meta, indent=1, sort_keys=True) + "\n"
     tmp = f"{trace_path}.tmp"
     f = open(tmp, "wb")
     try:
@@ -389,8 +389,7 @@ def write_trace(trace, trace_path, meta_path):
         os.remove(tmp)
         raise
     with open(meta_path, "w") as f:
-        json.dump(trace.meta, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(sidecar)
 
 
 def _count(n):

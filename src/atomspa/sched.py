@@ -16,6 +16,13 @@ the operation at the same position of the addition take the same cycles,
 the first ones where the operands of both are ready, and only the registers
 they address differ.  The block states, and the add/sub operation that owns
 each cycle of that unit, are recorded once, as each operation is placed.
+The controller issues the operations in ISSUE_ORDER: table order, except
+that with overlap on, a multiplication issues ahead of add/sub work that
+neither feeds it nor writes its destination, which moves op 6 ahead of
+op 5.  A square reads one register twice: when the first port latches the
+value during its producer's write-back (writeback+load), the second port
+fetches the register in the next cycle; otherwise the register keeps
+driving the bus and the second port latches silently (latch2).
 The schedule is the steady-state window between consecutive
 first-multiplication starts: tail work of a pattern (final write-back, the
 register copy, the last subtraction) spills over the boundary and lands at
@@ -26,7 +33,7 @@ the previous final-product write-back.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from atomspa.atoms import (DOUBLE_PATTERN, ADD_PATTERN, PATTERNS,
+from atomspa.atoms import (DOUBLE_PATTERN, PATTERNS,
                            REGISTER_NAMES, EXT_QX, EXT_QY)
 from atomspa.field import mul_schedule
 
@@ -123,6 +130,30 @@ def _compute_dummies():
 DUMMY_OPS = _compute_dummies()
 
 
+def _compute_issue_order():
+    """Table positions in issue order, for overlap off and on.
+
+    With overlap, the first multiplication left issues ahead of the ops
+    before it unless one of them feeds it an operand or writes its
+    destination, in either pattern.  Every filler op is an add, so the
+    multiplication's operands are real.
+    """
+    left = list(range(len(DOUBLE_PATTERN)))
+    order = []
+    while left:
+        k = left[0]
+        m = next((m for m in left if DOUBLE_PATTERN[m].kind == "mul"), k)
+        if any(ops[j].dst in (ops[m].src1, ops[m].src2, ops[m].dst)
+               for ops in PATTERNS.values() for j in range(k, m)):
+            m = k
+        order.append(m)
+        left.remove(m)
+    return {False: tuple(range(len(DOUBLE_PATTERN))), True: tuple(order)}
+
+
+ISSUE_ORDER = _compute_issue_order()
+
+
 class _Pending(NamedTuple):
     """A result held in a block's output register until its write-back."""
 
@@ -179,13 +210,14 @@ class _Scheduler:
                 return w
         return None
 
-    def _commit(self, kind, txs, commits):
-        """Put txs on the bus and publish the write-backs in commits."""
+    def _commit(self, kind, txs):
+        """Put txs on the bus and publish the write-backs among them."""
         st = self.ps[kind]
         st.bus.update(txs)
-        for block, w in commits.items():
-            pend = st.pending.pop(block)
-            st.ready[pend.dst] = (w + READABLE_LAG, pend.instance)
+        for w, tx in txs.items():
+            if tx.role.startswith("writeback"):
+                pend = st.pending.pop(tx.src)
+                st.ready[pend.dst] = (w + READABLE_LAG, pend.instance)
 
     def _flush(self, kind, block, deadline):
         """Write back block's pending result by deadline, before it is replaced."""
@@ -197,43 +229,40 @@ class _Scheduler:
             raise ScheduleError(
                 f"{kind}: cannot write back {block} result by cycle {deadline}")
         self._commit(kind, {w: Transaction(block, (pend.dst,), pend.op_index,
-                                           "writeback")}, {block: w})
+                                           "writeback")})
 
     # -- operand fetches -------------------------------------------------------
 
     def _plan(self, kind, instance, op, f1, receiver):
         """Bus transactions that bring op's operands into receiver at f1, f1 + 1.
 
-        Returns (txs, commits): cycle -> Transaction, including the
-        write-backs and forwarded loads the fetches need, and block ->
-        cycle of each pending result they write back.  Returns None when a
-        fetch cycle is busy or an operand cannot be ready in time.
+        Returns cycle -> Transaction, including the write-backs and
+        forwarded loads the fetches need, or None when a fetch cycle is
+        busy or an operand cannot be ready in time.
         """
         st = self.ps[kind]
         if f1 in st.bus or f1 + 1 in st.bus:
             return None
         dummy = op.index in DUMMY_OPS[kind]
-        txs, commits = {}, {}
+        txs = {}
         for pos, src in ((1, op.src1), (2, op.src2)):
             c = f1 + pos - 1
-            if pos == 2 and txs[f1].src == src:
-                # same source again: the register keeps driving the bus and
-                # the second port latches silently, with no new addressing
-                txs[c] = Transaction(src, (receiver,), op.index, "latch2")
+            if pos == 2 and src == op.src1:
+                # a square (see the module docstring); after a
+                # write-back+load the register is readable from
+                # f1 + READABLE_LAG, this cycle
+                role = ("fetch2" if txs[f1].role == "writeback+load"
+                        else "latch2")
+                txs[c] = Transaction(src, (receiver,), op.index, role)
                 continue
             # a filler operation reads whatever the register holds
             if src not in EXTERNALS and not dummy:
                 producer = None
                 for block, pend in st.pending.items():
-                    if pend.dst == src and block not in commits:
+                    if pend.dst == src:
                         producer = block
                 if producer is None:
-                    # the value is published, or written back by this plan
-                    done = [w for b, w in commits.items()
-                            if st.pending[b].dst == src]
-                    ready = (done[0] + READABLE_LAG if done
-                             else self._ready(kind, src, instance))
-                    if c < ready:
+                    if c < self._ready(kind, src, instance):
                         return None
                 else:
                     pend = st.pending[producer]
@@ -241,7 +270,6 @@ class _Scheduler:
                     if w is not None:
                         txs[w] = Transaction(producer, (pend.dst,),
                                              pend.op_index, "writeback")
-                        commits[producer] = w
                     elif (self.t.overlap and c >= self._wb_min(kind, pend)
                           and (receiver == MULT
                                or (pos == 1 and producer == MULT))):
@@ -251,22 +279,30 @@ class _Scheduler:
                         # only a product
                         txs[c] = Transaction(producer, (pend.dst, receiver),
                                              pend.op_index, "writeback+load")
-                        commits[producer] = c
                         continue
                     else:
                         return None
             txs[c] = Transaction(src, (receiver,), op.index, f"fetch{pos}")
-        return txs, commits
+        return txs
 
     # -- op placement ----------------------------------------------------------
 
-    @staticmethod
-    def _first_slot(lo, place, what):
-        """First cycle c from lo where place(c) is not None, with that value."""
+    def _place(self, lo, ops, plan, what):
+        """Commit both plans at the first cycle c from lo where both exist.
+
+        plan(kind, op, c) gives the transactions of op placed at cycle c, or
+        None.  Returns c.
+        """
         for c in range(lo, lo + 4000):
-            found = place(c)
-            if found is not None:
-                return c, found
+            plans = {}
+            for kind, op in ops.items():
+                plans[kind] = plan(kind, op, c)
+                if plans[kind] is None:
+                    break
+            else:
+                for kind, txs in plans.items():
+                    self._commit(kind, txs)
+                return c
         raise ScheduleError(f"no slot for {what}")
 
     def _schedule_unit(self, block, instance, ops):
@@ -283,21 +319,15 @@ class _Scheduler:
             else:
                 lo = max(lo, self.last_step[block] + 1 + out)
 
-        def place(f1):
-            plans = {}
-            for kind, op in ops.items():
-                plans[kind] = self._plan(kind, instance, op, f1, block)
-                if plans[kind] is None:
-                    return None
-            return plans
+        def plan(kind, op, f1):
+            return self._plan(kind, instance, op, f1, block)
 
         name = "multiplication" if block == MULT else "add/sub"
-        f1, plans = self._first_slot(lo, place, f"{name} op {ops['D'].index}")
+        f1 = self._place(lo, ops, plan, f"{name} op {ops['D'].index}")
         first, last = f1 + 2, f1 + 1 + steps
         earliest = last + out + (self.t.mult_wb_lag if block == MULT else 0)
         for kind, op in ops.items():
             st = self.ps[kind]
-            self._commit(kind, *plans[kind])
             # a filler operation reads whatever the register holds, so it
             # puts no write-after-read pressure on pending results
             if op.index not in DUMMY_OPS[kind]:
@@ -325,63 +355,29 @@ class _Scheduler:
 
     def _schedule_copy(self, instance, ops):
         """Place one register copy of each pattern in a single bus cycle."""
-        def place(c):
-            for kind, op in ops.items():
-                st = self.ps[kind]
-                if c in st.bus or c < max(self._ready(kind, op.src1, instance),
-                                          st.last_read[op.dst] + 1):
-                    return None
-            return True
+        def plan(kind, op, c):
+            st = self.ps[kind]
+            if c in st.bus or c < max(self._ready(kind, op.src1, instance),
+                                      st.last_read[op.dst] + 1):
+                return None
+            return {c: Transaction(op.src1, (op.dst,), op.index, "copy")}
 
-        c, _ = self._first_slot(self.barrier + 1, place,
-                                f"copy op {ops['D'].index}")
+        c = self._place(self.barrier + 1, ops, plan,
+                        f"copy op {ops['D'].index}")
         for kind, op in ops.items():
             st = self.ps[kind]
-            st.bus[c] = Transaction(op.src1, (op.dst,), op.index, "copy")
             st.last_read[op.src1] = max(st.last_read[op.src1], c)
             st.ready[op.dst] = (c + READABLE_LAG, instance)
 
-    @staticmethod
-    def _can_hoist(pairs, k, m):
-        """May the multiplication at position m issue before ops k..m-1?
-
-        Allowed when none of the skipped operations feeds the multiplication
-        an operand or writes its destination, in either pattern.  Every
-        filler op is an add, so the multiplication's operands are real.
-        """
-        for kind_idx in (0, 1):
-            mop = pairs[m][kind_idx]
-            reads = {mop.src1, mop.src2} & set(REGISTER_NAMES)
-            for j in range(k, m):
-                jop = pairs[j][kind_idx]
-                if jop.dst in reads or jop.dst == mop.dst:
-                    return False
-        return True
-
     def run(self, instances):
-        pairs = list(zip(DOUBLE_PATTERN, ADD_PATTERN))
         for n in range(instances):
-            done = [False] * len(pairs)
-            while not all(done):
-                k = done.index(False)
-                pick = k
-                if pairs[k][0].kind != "mul" and self.t.overlap:
-                    # the controller prefetches multiplier operands past
-                    # independent pending add/sub work
-                    for m in range(k + 1, len(pairs)):
-                        if done[m]:
-                            continue
-                        if pairs[m][0].kind == "mul":
-                            if self._can_hoist(pairs, k, m):
-                                pick = m
-                            break
-                ops = dict(zip(KINDS, pairs[pick]))
+            for pos in ISSUE_ORDER[self.t.overlap]:
+                ops = {kind: PATTERNS[kind][pos] for kind in KINDS}
                 if ops["D"].kind == "copy":
                     self._schedule_copy(n, ops)
                 else:
                     self._schedule_unit(
                         MULT if ops["D"].kind == "mul" else ADDSUB, n, ops)
-                done[pick] = True
         return self
 
 

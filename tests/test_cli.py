@@ -451,6 +451,13 @@ def test_readme_scenario_example_loads(tmp_path):
     assert load_scenario(cfg).point == TWO_G
 
 
+def test_readme_python_example_runs():
+    # README's Python API block simulates and attacks k = 0x1B as written
+    readme = (REPO / "README.md").read_text()
+    (block,) = (b.split("```", 1)[0] for b in readme.split("```python\n")[1:])
+    exec(compile(block, "README.md", "exec"), {})
+
+
 # every key the config knows and sometimes a misspelling, with values that
 # are plausible half the time and any JSON value otherwise
 CONFIG_KEYS = st.sampled_from(

@@ -420,7 +420,7 @@ def test_pattern_states_are_numpys_seeding():
 
 
 def test_bad_worker_counts_rejected():
-    for bad in (0, -1, True):
+    for bad in (0, -1, True, 2.0, np.int64(2)):
         with pytest.raises(ValueError, match="workers"):
             simulate_trace(("D", "A"), D, A, params(sigma=0.2), workers=bad)
 
@@ -447,10 +447,20 @@ def test_params_validation():
                 {"sigma": math.nan},
                 {"addresses": {"X1": "a"}}, {"addresses": {"FOO": 3}},
                 {"addresses": {"X1": 3, "X2": 3}}, {"addresses": {"X1": 64}},
-                {"addresses": {"X1": True}}, {"addresses": [1, 2]}):
+                {"addresses": {"X1": True}}, {"addresses": [1, 2]},
+                # json, which writes the hash and the sidecar, takes none
+                # of these numpy numbers
+                {"samples_per_cycle": np.int64(3)}, {"seed": np.uint64(5)},
+                {"alpha": np.float32(1)}, {"alpha": np.int64(1)},
+                {"sigma": np.float32(0.1)}):
         with pytest.raises(ValueError):
             LeakageParams(**bad)
     assert LeakageParams(seed=2**64 - 1, alpha=0, sigma=1).seed == 2**64 - 1
+    # np.float64 is a float
+    p64 = params(sigma=np.float64(0.1))
+    assert p64.digest() == params(sigma=0.1).digest()
+    want = simulate_trace(("D",), D, A, params(sigma=0.1)).samples
+    assert np.array_equal(simulate_trace(("D",), D, A, p64).samples, want)
 
 
 def test_addresses_unique():
@@ -525,17 +535,26 @@ def _failing_replace(monkeypatch, t):
     return t
 
 
-@pytest.mark.parametrize("fail", [_bad_samples, _failing_replace],
-                         ids=["samples", "replace"])
-def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, fail):
+def _unwritable_meta(monkeypatch, t):
+    # new samples, so a replaced trace.bin shows
+    return Trace(t.samples + 1, {**t.meta, "seed": np.uint64(5)})
+
+
+@pytest.mark.parametrize("fail, error", [(_bad_samples, ValueError),
+                                         (_failing_replace, OSError),
+                                         (_unwritable_meta, TypeError)],
+                         ids=["samples", "replace", "meta"])
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, fail,
+                                               error):
     t = simulate_trace(("D", "A"), D, A, params())
     tp, mp = tmp_path / "t.bin", tmp_path / "t.json"
     write_trace(t, tp, mp)
-    before = tp.read_bytes()
-    with pytest.raises((OSError, ValueError)):
+    before, meta_before = tp.read_bytes(), mp.read_bytes()
+    with pytest.raises(error):
         write_trace(fail(monkeypatch, t), tp, mp)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin", "t.json"]
     assert tp.read_bytes() == before
+    assert mp.read_bytes() == meta_before
 
 
 def test_truncated_trace_rejected(tmp_path):

@@ -10,8 +10,9 @@ from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, EXT_QX, EXT_QY,
                            PATTERNS, REGISTER_NAMES, fresh_registers,
                            reference_k_mul, run_pattern, to_affine)
-from atomspa.sched import (DUMMY_OPS, MULT, ScheduleError, Timing, Transaction,
-                           _Scheduler, addressing_diff, build_schedules)
+from atomspa.sched import (DUMMY_OPS, ISSUE_ORDER, MULT, ScheduleError, Timing,
+                           Transaction, _Scheduler, addressing_diff,
+                           build_schedules)
 
 D_SCHED, A_SCHED = build_schedules()
 DIFF = addressing_diff(D_SCHED, A_SCHED)
@@ -139,6 +140,38 @@ def test_filler_ops_only_in_addition():
                    if op.index in indices)
 
 
+def test_issue_order_hoists_op_6_past_op_5():
+    # with overlap the multiplication at op 6 issues before the add at op 5,
+    # whose result it does not read; without it, table order
+    indices = {overlap: [DOUBLE_PATTERN[pos].index for pos in order]
+               for overlap, order in ISSUE_ORDER.items()}
+    assert indices == {False: list(range(1, 22)),
+                       True: [1, 2, 3, 4, 6, 5, *range(7, 22)]}
+
+
+def test_square_rule():
+    # a square forwarded into the multiplier during its producer's
+    # write-back fetches the register one cycle later; a square whose first
+    # operand is fetched latches the second silently
+    squares = {kind: [op.index for op in ops
+                      if op.kind == "mul" and op.src1 == op.src2]
+               for kind, ops in PATTERNS.items()}
+    assert squares == {"D": [1, 13, 15], "A": [4, 13, 15]}
+    ops = {op.index: op for op in PATTERNS["A"]}
+    for i in squares["A"]:
+        (f2,) = A_SCHED.op_cycles[i]["fetch2"]
+        assert "fetch1" not in A_SCHED.op_cycles[i]
+        forwarded, fetched = A_SCHED.events[f2 - 2], A_SCHED.events[f2 - 1]
+        assert forwarded.dst_names == (ops[i].src1, MULT)
+        assert (fetched.src_name, fetched.dst_names) == (ops[i].src1, (MULT,))
+    # op 4 takes R1 in cycles 13 and 14
+    assert A_SCHED.op_cycles[4]["fetch2"] == (14,)
+    for i in squares["D"]:
+        (f1,) = D_SCHED.op_cycles[i]["fetch1"]
+        assert D_SCHED.op_cycles[i]["latch2"] == (f1 + 1,)
+        assert D_SCHED.events[f1].src_name is None
+
+
 def test_unschedulable_configuration_raises():
     # a slow write-back path cannot drain results before the next product
     with pytest.raises(ScheduleError):
@@ -167,7 +200,7 @@ def test_schedules_of_the_timing_grid_are_pinned(timing_grid):
 
 
 def test_unbounded_write_back_lag_runs_out_of_slots():
-    # the lo + 4000 bound of the slot searches is what ends them here
+    # the lo + 4000 bound of the slot search is what ends it here
     t0 = time.perf_counter()
     with pytest.raises(ScheduleError, match="no slot"):
         build_schedules(Timing(mult_wb_lag=4000))
