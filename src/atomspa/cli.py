@@ -46,10 +46,6 @@ SECTION_KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class Scenario(NamedTuple):
     """A parsed scenario config: everything a run is made from."""
 
@@ -72,9 +68,9 @@ def load_scenario(path=None):
         except OSError as e:
             raise IOError(f"cannot read config: {e}") from e
         except (ValueError, RecursionError) as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+            raise ValueError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
-            raise ConfigError(f"config must be a JSON object, not {user!r:.40}")
+            raise ValueError(f"config must be a JSON object, not {user!r:.40}")
     # before any default fills in, which would hide a misspelt key
     unknown = [key for key in user if key not in DEFAULT_CONFIG]
     for name, known in SECTION_KEYS.items():
@@ -82,14 +78,14 @@ def load_scenario(path=None):
             unknown += [f"{name}.{key}" for key in user[name]
                         if key not in known]
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = {**DEFAULT_CONFIG, **user}
     for name in ("timing", "leakage"):
         if not isinstance(cfg[name], dict):
-            raise ConfigError(f"{name} must be a JSON object, "
-                              f"not {cfg[name]!r}")
+            raise ValueError(f"{name} must be a JSON object, "
+                             f"not {cfg[name]!r}")
     if not isinstance(cfg["curve"], str):
-        raise ConfigError(f"curve must be a name, not {cfg['curve']!r}")
+        raise ValueError(f"curve must be a name, not {cfg['curve']!r}")
     curve = get_curve(cfg["curve"])
     return Scenario(curve, _scalar(cfg["scalar"], curve),
                     _point(cfg["base_point"], curve), Timing(**cfg["timing"]),
@@ -100,22 +96,22 @@ def _scalar(spec, curve):
     if isinstance(spec, str):
         k = ScalarK.from_string(spec)
     elif not isinstance(spec, dict):
-        raise ConfigError(f"scalar must be a string or a JSON object, "
-                          f"not {spec!r}")
+        raise ValueError(f"scalar must be a string or a JSON object, "
+                         f"not {spec!r}")
     else:
         spec = {**DEFAULT_CONFIG["scalar"], **spec}
         for name, value in spec.items():
             if type(value) is not int:
-                raise ConfigError(f"scalar {name} must be an int, "
-                                  f"not {value!r}")
+                raise ValueError(f"scalar {name} must be an int, "
+                                 f"not {value!r}")
         k = scalar_for_pattern_counts(spec["bits"], spec["ones_below_msb"],
                                       curve, seed=spec["pick_seed"])
     if k.value < 2:
-        raise ConfigError("scalar must be at least 2: k = 1 executes no "
-                          "pattern")
+        raise ValueError("scalar must be at least 2: k = 1 executes no "
+                         "pattern")
     if k.value >= curve.n:
-        raise ConfigError(f"scalar outside [2, n) on {curve.name}, whose "
-                          f"group order is n = {curve.n:#x}")
+        raise ValueError(f"scalar outside [2, n) on {curve.name}, whose "
+                         f"group order is n = {curve.n:#x}")
     return k
 
 
@@ -123,20 +119,20 @@ def _point(spec, curve):
     if spec == "generator":
         return AffinePoint(curve.gx, curve.gy)
     if not isinstance(spec, dict) or set(spec) != {"x", "y"}:
-        raise ConfigError(f'base_point must be "generator" or an object with '
-                          f'x and y, not {spec!r:.40}')
+        raise ValueError(f'base_point must be "generator" or an object with '
+                         f'x and y, not {spec!r:.40}')
     coords = []
     for name in ("x", "y"):
         v = spec[name]
         try:
             coords.append(v if type(v) is int else int(v, 16))
         except (TypeError, ValueError):
-            raise ConfigError(f"bad base point: coordinates must be ints or "
-                              f"hex strings, not {name} = {v!r:.40}") from None
+            raise ValueError(f"bad base point: coordinates must be ints or "
+                             f"hex strings, not {name} = {v!r:.40}") from None
     try:
         return AffinePoint(*coords).validate(curve)
     except ValueError as e:
-        raise ConfigError(f"bad base point: {e}") from e
+        raise ValueError(f"bad base point: {e}") from e
 
 
 def cmd_simulate(args):
@@ -214,7 +210,8 @@ def build_parser():
 
     att = sub.add_parser("attack", help="run the SPA attack on a trace")
     att.add_argument("--trace", required=True, help="raw float32 trace file")
-    att.add_argument("--meta", help="metadata sidecar (default: trace.json)")
+    att.add_argument("--meta", help="metadata sidecar (default: the trace "
+                     "path with its extension replaced by .json)")
     att.add_argument("--out-dir", default=".", help="report directory")
     att.set_defaults(func=cmd_attack)
 

@@ -374,22 +374,30 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
 def write_trace(trace, trace_path, meta_path):
     """Raw little-endian float32 samples plus a JSON sidecar.
 
-    The samples go to a new file that then replaces trace_path, so a trace
-    still mapped from the old file (see read_trace) keeps its samples.
+    Both go to new files first: the samples' file then replaces trace_path,
+    so a trace still mapped from the old file (see read_trace) keeps its
+    samples, and the sidecar's file replaces meta_path.  A failure up to the
+    samples' replace leaves both paths as they were; only a meta_path that
+    cannot be replaced (a directory, say) fails after it.
     """
-    # rendered first, so a sidecar json cannot write leaves both files alone
+    # rendered first, so a sidecar json cannot write touches no file
     sidecar = json.dumps(trace.meta, indent=1, sort_keys=True) + "\n"
-    tmp = f"{trace_path}.tmp"
-    f = open(tmp, "wb")
+    meta_tmp, tmp = f"{meta_path}.tmp", f"{trace_path}.tmp"
+    made = []   # the temporaries on disk
     try:
-        with f:
+        with open(meta_tmp, "w") as f:
+            made.append(meta_tmp)
+            f.write(sidecar)
+        with open(tmp, "wb") as f:
+            made.append(tmp)
             np.ascontiguousarray(trace.samples, dtype=TRACE_DTYPE).tofile(f)
         os.replace(tmp, trace_path)
+        made.remove(tmp)
+        os.replace(meta_tmp, meta_path)
     except BaseException:
-        os.remove(tmp)
+        for path in made:
+            os.remove(path)
         raise
-    with open(meta_path, "w") as f:
-        f.write(sidecar)
 
 
 def _count(n):

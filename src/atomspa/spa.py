@@ -7,11 +7,11 @@ candidate per sample offset.  A candidate's correctness is the fraction of
 windows labelled with the right pattern kind; candidates at offsets whose
 addressing differs between the two kinds reach 100% while offsets with
 identical addressing hover at the majority-class baseline.  Scalar recovery
-resolves the label polarity through the double-and-add grammar (no addition
-without a preceding doubling) and reads bits off the pattern sequence with
-atoms.recover_scalar.  Without ground truth in the trace metadata there is
-no correctness to measure: the attack still recovers, and its report holds
-only the summary.
+fixes each candidate's polarity by its first window, since every run starts
+with a doubling, keeps the candidates with no two adjacent additions, and
+reads bits off the pattern sequence with atoms.recover_scalar.  Without
+ground truth in the trace metadata there is no correctness to measure: the
+attack still recovers, and its report holds only the summary.
 
 Every step takes a float32 Trace as leakage.read_trace or
 leakage.simulate_trace made it: those two check its length, its dtype and
@@ -85,24 +85,22 @@ def classify_matrix(matrix, threshold):
 
     Returns a (ceil(pattern_count / 8), samples_per_pattern) uint8 array in
     np.packbits bit order (row r is bit 7 - r % 8 of byte r // 8) with zero
-    padding, built one row at a time so the boolean matrix never exists.
+    padding, built 8 rows at a time so the boolean matrix never exists.
     """
     # a float32 x lies above t exactly when it lies above the largest
     # float32 at or below t, and comparing in float32 casts nothing
     down = threshold.astype(np.float32)
     thr = np.where(down > threshold, np.nextafter(down, np.float32(-np.inf)),
                    down)
-    packed = np.zeros(((matrix.shape[0] + 7) // 8, matrix.shape[1]),
+    # each byte ORs its rows' labels at bit weights 128, 64, ..., 1; a
+    # partial last block takes only the top weights, so its padding is 0
+    weight = (128 >> np.arange(8)).astype(np.uint8)[:, None]
+    packed = np.empty(((matrix.shape[0] + 7) // 8, matrix.shape[1]),
                       dtype=np.uint8)
-    above = np.empty(matrix.shape[1], dtype=bool)
-    for r, row in enumerate(matrix):
-        np.greater(row, thr, out=above)
-        # shift the byte's earlier rows up one bit and put this row last
-        byte = packed[r // 8]
-        byte += byte
-        byte |= above.view(np.uint8)
-    # rows of a partial last byte still sit at its low end
-    packed[-1] <<= -matrix.shape[0] % 8
+    for i, byte in enumerate(packed):
+        rows = matrix[8 * i:8 * i + 8]
+        np.bitwise_or.reduce((rows > thr).view(np.uint8) * weight[:len(rows)],
+                             axis=0, out=byte)
     return packed
 
 
@@ -115,38 +113,27 @@ def correctness_curve(labels, truth):
     return 100.0 * (t.size - wrong) / t.size
 
 
-def _first_bits(n, nbytes):
-    """Packed mask, nbytes long, of the first n rows of a label column."""
-    return np.packbits(np.arange(8 * nbytes) < n)
-
-
 def _blind_recovery(labels, n):
     """Pick the most supported grammar-consistent candidate sequence.
 
-    labels holds n packed rows (see classify_matrix).  Constant-label
-    candidates carry no information and are skipped.  A column is read
-    as-is (True = addition) when its row 0 is False and no two adjacent
-    rows are both True, or flipped when its row 0 is True and no two
-    adjacent rows are both False; the two rules cannot both hold.
+    labels holds n packed rows (see classify_matrix).  Every run starts
+    with a doubling, so a column whose row 0 is True is flipped first;
+    then True = addition, and a column is a candidate when it is not
+    constant and no two adjacent rows are both True.
     Returns (bits, support, sample_index) or (None, 0, -1).
     """
-    valid = _first_bits(n, labels.shape[0])[:, None]
+    valid = np.packbits(np.arange(8 * labels.shape[0]) < n)[:, None]
+    # the padding after row n - 1 stays False through the flip
+    norm = labels ^ valid * (labels[0] >> 7)
     # row r + 1 moved into row r's bit: shift left by one and carry the
-    # top bit of the next byte; the padding after row n - 1 reads as False
-    nxt = labels << 1
-    nxt[:-1] |= labels[1:] >> 7
-    first = (labels[0] >> 7).astype(bool)
-    nonconst = labels.any(axis=0) & (labels != valid).any(axis=0)
-    ok_a = nonconst & ~first & ~(labels & nxt).any(axis=0)
-    # adjacent pairs (r, r + 1) exist for rows 0 .. n - 2 only
-    pairs = _first_bits(n - 1, labels.shape[0])[:, None]
-    ok_b = nonconst & first & ~(~(labels | nxt) & pairs).any(axis=0)
-    cols = np.flatnonzero(ok_a | ok_b)
+    # top bit of the next byte
+    nxt = norm << 1
+    nxt[:-1] |= norm[1:] >> 7
+    cols = np.flatnonzero(norm.any(axis=0) & ~(norm & nxt).any(axis=0))
     if cols.size == 0:
         return None, 0, -1
-    # one candidate sequence per row; the XOR turns a flipped one as-is
-    packed = np.ascontiguousarray(labels.T[cols])
-    packed[ok_b[cols]] ^= valid[:, 0]
+    # one candidate sequence per row
+    packed = np.ascontiguousarray(norm.T[cols])
     # one opaque bytes key per row, so np.unique groups equal sequences
     keys = packed.view(f"V{packed.shape[1]}").ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)

@@ -1,5 +1,6 @@
 """Trace synthesis: base profiles, transition leakage, determinism, I/O."""
 
+import errno
 import functools
 import hashlib
 import itertools
@@ -540,10 +541,21 @@ def _unwritable_meta(monkeypatch, t):
     return Trace(t.samples + 1, {**t.meta, "seed": np.uint64(5)})
 
 
+def _full_disk_sidecar(monkeypatch, t):
+    def fake_open(path, mode="r", **kwargs):
+        if mode == "w":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(path, mode, **kwargs)
+    monkeypatch.setattr(leakage, "open", fake_open, raising=False)
+    # new samples, so a replaced trace.bin shows
+    return Trace(t.samples + 1, t.meta)
+
+
 @pytest.mark.parametrize("fail, error", [(_bad_samples, ValueError),
                                          (_failing_replace, OSError),
-                                         (_unwritable_meta, TypeError)],
-                         ids=["samples", "replace", "meta"])
+                                         (_unwritable_meta, TypeError),
+                                         (_full_disk_sidecar, OSError)],
+                         ids=["samples", "replace", "meta", "sidecar"])
 def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, fail,
                                                error):
     t = simulate_trace(("D", "A"), D, A, params())

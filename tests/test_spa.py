@@ -209,6 +209,21 @@ def test_packed_labels_match_bool_references(labels, data):
         _exact_pct(labels[:, j], truth) for j in range(cols)]
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+@pytest.mark.parametrize("k", [0b1101101, 0b10110011101],
+                         ids=["10-patterns", "16-patterns"])
+def test_blind_recovery_on_real_labels_matches_per_column_reference(k,
+                                                                    alpha):
+    trace, seq = small_trace(k=k, sigma=0.02, alpha=alpha, seed=9)
+    m = segment(trace)
+    packed = classify_matrix(m, mean_pattern(m))
+    labels = np.unpackbits(packed, axis=0, count=len(seq)).astype(bool)
+    got = _blind_recovery(packed, len(seq))
+    assert got == _reference_blind_recovery(labels)
+    if alpha:
+        assert got[0] == ScalarK.from_int(k).bits
+
+
 def test_recover_scalar_cases():
     assert recover_scalar("DADDA") == (1, 1, 0, 1)
     assert recover_scalar("DD") == (1, 0, 0)
