@@ -229,7 +229,7 @@ def main(argv=None):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IOError, OSError) as e:
+    except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
 

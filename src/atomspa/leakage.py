@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from atomspa.atoms import recover_scalar
-from atomspa.sched import ADDSUB, KINDS, MULT, mult_block_state
+from atomspa.sched import ADDSUB, MULT, mult_block_state
 
 TRACE_DTYPE = "<f4"
 NOISE_CAP = 5.7682      # bound on |noise| / sigma, see the module docstring
@@ -76,7 +76,7 @@ DEFAULT_ADDRESS_CODES = {
 # every partial-product cycle draws the same "mult:pp" level.  The table is
 # fixed: both pattern kinds walk the same block states, so no level of it
 # can move a D/A difference
-DEFAULT_BASE_LEVELS = {
+BASE_LEVELS = {
     "mult:load1": 0.55, "mult:load2": 0.60, "mult:pp": 1.00,
     "mult:out": 0.80, "mult:wait_first": 0.45, "mult:wait": 0.25,
     "addsub:load1": 0.30, "addsub:load2": 0.32, "addsub:store": 0.38,
@@ -128,7 +128,7 @@ class LeakageParams:
         blob = json.dumps({
             "alpha": float(self.alpha) + 0.0, "sigma": float(self.sigma) + 0.0,
             "samples_per_cycle": self.samples_per_cycle, "seed": self.seed,
-            "base_levels": sorted(DEFAULT_BASE_LEVELS.items()),
+            "base_levels": sorted(BASE_LEVELS.items()),
             "addresses": sorted(self.address_table().items()),
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -177,22 +177,22 @@ def window_levels(d_sched, a_sched, params):
     alpha times the Hamming distance of its line_walk names, encoded with
     the address table, from the previous cycle's.  Raises ValueError as
     line_walk does."""
-    lv = DEFAULT_BASE_LEVELS
+    lv = BASE_LEVELS
     table = params.address_table()
-    base = {k: np.array([lv[f"mult:{mult_block_state(ev.mult_state)}"]
-                         + lv[f"addsub:{ev.addsub_state}"]
-                         for ev in sched.events])
-            for k, sched in zip(KINDS, (d_sched, a_sched))}
+    # both kinds read the scheduler's shared state dicts: same block states
+    base = np.array([lv[f"mult:{mult_block_state(ev.mult_state)}"]
+                     + lv[f"addsub:{ev.addsub_state}"]
+                     for ev in d_sched.events])
     out = {}
     # an overflow to inf is reported by simulate_trace, not as a warning
     with np.errstate(over="ignore"):
-        for (pk, k), states in line_walk(d_sched, a_sched).items():
+        for window, states in line_walk(d_sched, a_sched).items():
             lines = np.array([table[src] << ADDRESS_BITS | table[dst]
                               for src, dst in states])
             # the counts are uint8, a dtype an int alpha would keep
             flips = np.bitwise_count(lines[1:] ^ lines[:-1])
             leak = params.alpha * flips.astype(np.float64)
-            out[(pk, k)] = (base[k] + leak).astype(TRACE_DTYPE)
+            out[window] = (base + leak).astype(TRACE_DTYPE)
     return out
 
 

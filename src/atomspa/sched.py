@@ -10,8 +10,9 @@ current one, and a finished product may be written back while the next one
 is already computing.  The adder/subtractor takes two fetch cycles plus one
 processing cycle.
 
-Both atomic patterns must exhibit the identical block-state sequence, so
-both are placed together on one timeline: each operation of the doubling and
+The pattern kinds are the keys of atoms.PATTERNS, D and A.  Both atomic
+patterns must exhibit the identical block-state sequence, so both are
+placed together on one timeline: each operation of the doubling and
 the operation at the same position of the addition take the same cycles,
 the first ones where the operands of both are ready, and only the registers
 they address differ.  The block states, and the add/sub operation that owns
@@ -23,6 +24,10 @@ op 5.  A square reads one register twice: when the first port latches the
 value during its producer's write-back (writeback+load), the second port
 fetches the register in the next cycle; otherwise the register keeps
 driving the bus and the second port latches silently (latch2).
+A filler is an op whose result the rest of its own pattern overwrites
+before reading it (addition ops 2, 5 and 8, DUMMY_OPS); it reads whatever
+its registers hold, so it waits for no operand and holds back no
+write-back.
 The schedule is the steady-state window between consecutive
 first-multiplication starts: tail work of a pattern (final write-back, the
 register copy, the last subtraction) spills over the boundary and lands at
@@ -33,14 +38,11 @@ the previous final-product write-back.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from atomspa.atoms import (DOUBLE_PATTERN, PATTERNS,
-                           REGISTER_NAMES, EXT_QX, EXT_QY)
+from atomspa.atoms import DOUBLE_PATTERN, PATTERNS, REGISTER_NAMES
 from atomspa.field import mul_schedule
 
 MULT = "MULT"
 ADDSUB = "ADDSUB"
-EXTERNALS = (EXT_QX, EXT_QY)
-KINDS = ("D", "A")
 
 # a register written back in cycle w can drive the bus from cycle w + 1
 READABLE_LAG = 1
@@ -110,20 +112,13 @@ def _first_access(reg, ops):
 
 
 def _compute_dummies():
-    """Operations whose result is overwritten before any read (per pattern).
-
-    Liveness is checked through the pattern and, across the boundary,
-    through both possible successor patterns: a value is live if either
-    successor reads it before writing it.
+    """Operations whose result the rest of their own pattern overwrites
+    before reading it (per pattern).  An op whose result the rest of its
+    pattern never touches counts as live.
     """
-    def dead(ops, i):
-        first = _first_access(ops[i].dst, ops[i + 1:])
-        if first is None:
-            return all(_first_access(ops[i].dst, succ) != "read"
-                       for succ in PATTERNS.values())
-        return first == "write"
-
-    return {kind: frozenset(op.index for i, op in enumerate(ops) if dead(ops, i))
+    return {kind: frozenset(
+                op.index for i, op in enumerate(ops)
+                if _first_access(op.dst, ops[i + 1:]) == "write")
             for kind, ops in PATTERNS.items()}
 
 
@@ -180,9 +175,9 @@ class _Scheduler:
         # a product then leaves through one output cycle
         self.steps = {MULT: mul_schedule(timing.mul_plan).step_count,
                       ADDSUB: 1}
-        self.ps = {k: _PatternState() for k in KINDS}
-        self.states = {MULT: {}, ADDSUB: {}}  # block -> absolute cycle -> state
-        self.addsub_ops = {}       # absolute cycle -> kind of the add/sub op there
+        self.ps = {k: _PatternState() for k in PATTERNS}
+        self.states = {}           # absolute cycle -> multiplier state
+        self.addsub = {}           # absolute cycle -> (add/sub state, op kind)
         self.last_step = {}        # block -> last compute cycle of its latest op
         self.barrier = 0           # latest first-partial-product cycle so far
         self.window_starts = []    # pp_first of each instance's first multiplication
@@ -256,7 +251,7 @@ class _Scheduler:
                 txs[c] = Transaction(src, (receiver,), op.index, role)
                 continue
             # a filler operation reads whatever the register holds
-            if src not in EXTERNALS and not dummy:
+            if src in REGISTER_NAMES and not dummy:
                 producer = None
                 for block, pend in st.pending.items():
                     if pend.dst == src:
@@ -337,20 +332,20 @@ class _Scheduler:
             # the previous result must leave the unit before this one lands
             self._flush(kind, block, last)
             st.pending[block] = _Pending(op.index, instance, op.dst, earliest)
-        states = self.states[block]
         if block == MULT:
             for i, c in enumerate(range(first, last + 1), start=1):
-                states[c] = f"pp{i}"
+                self.states[c] = f"pp{i}"
             for c, state in ((f1, "load1"), (f1 + 1, "load2"), (last + 1, "out")):
-                states.setdefault(c, state)
+                self.states.setdefault(c, state)
             self.barrier = first
             if ops["D"].index == 1:
                 self.window_starts.append(first)
         else:
             # the next op's first load may take over the store cycle
-            states.update({f1: "load1", f1 + 1: "load2", last: "store"})
-            self.addsub_ops.update(dict.fromkeys((f1, f1 + 1, last),
-                                                 ops["D"].kind))
+            self.addsub.update(
+                (c, (state, ops["D"].kind))
+                for c, state in ((f1, "load1"), (f1 + 1, "load2"),
+                                 (last, "store")))
         self.last_step[block] = last
 
     def _schedule_copy(self, instance, ops):
@@ -372,7 +367,7 @@ class _Scheduler:
     def run(self, instances):
         for n in range(instances):
             for pos in ISSUE_ORDER[self.t.overlap]:
-                ops = {kind: PATTERNS[kind][pos] for kind in KINDS}
+                ops = {kind: table[pos] for kind, table in PATTERNS.items()}
                 if ops["D"].kind == "copy":
                     self._schedule_copy(n, ops)
                 else:
@@ -389,7 +384,7 @@ def _window(sched, kind, start, period):
     for c in cycles:
         # the window opens on pp1, so an unassigned cycle follows the
         # output cycle or a wait
-        mult_states.append(sched.states[MULT].get(c) or (
+        mult_states.append(sched.states.get(c) or (
             "wait_first" if mult_states[-1] == "out" else "wait"))
     events = []
     op_cycles = {}
@@ -402,10 +397,10 @@ def _window(sched, kind, start, period):
         # silent cycle: either an idle bus or a continued drive of the same
         # source with no new addressing
         silent = tx is None or tx.role == "latch2"
+        addsub_state, addsub_op = sched.addsub.get(c, ("idle", None))
         events.append(CycleEvent(rel, None if silent else tx.src,
                                  () if silent else tx.dsts, mult_state,
-                                 sched.states[ADDSUB].get(c, "idle"),
-                                 sched.addsub_ops.get(c), store))
+                                 addsub_state, addsub_op, store))
         if tx is not None:
             roles = op_cycles.setdefault(tx.op_index, {})
             roles.setdefault(tx.role, []).append(rel)
@@ -430,7 +425,7 @@ def build_schedules(timing=None):
     period = periods[-1]
     # take the last fully settled window; its successor must repeat it
     schedules = []
-    for kind in KINDS:
+    for kind in PATTERNS:
         window = _window(sched, kind, starts[-3], period)
         if window != _window(sched, kind, starts[-2], period):
             raise ScheduleError(f"{kind}: schedule is not periodic "

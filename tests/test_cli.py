@@ -1,5 +1,6 @@
 """Command-line workflows: simulate, attack, diagram, exit codes."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -101,6 +102,78 @@ def test_null_leakage_not_recovered(tmp_path, capsys):
                "--out-dir", str(out / "report")])
     assert rc == EXIT_NOT_RECOVERED
     assert "NOT recovered" in capsys.readouterr().out
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    # the sha256 of every file three runs write and of their stdout, with
+    # the run directory spelled <tmp>: simulate + attack, the same trace
+    # attacked blind, and the null model on a scalar long enough that no
+    # false recovery turns up
+    stdout = {}
+
+    def run(name, *argv, rc):
+        assert main([str(a) for a in argv]) == rc
+        out = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+        stdout[name] = hashlib.sha256(out.encode()).hexdigest()
+
+    run("simulate", "simulate", "--config", small_config(tmp_path),
+        "--out-dir", tmp_path / "run", rc=EXIT_OK)
+    run("attack", "attack", "--trace", tmp_path / "run" / "trace.bin",
+        "--out-dir", tmp_path / "run" / "report", rc=EXIT_OK)
+    meta = json.loads((tmp_path / "run" / "trace.json").read_text())
+    del meta["ground_truth"]
+    (tmp_path / "blind.json").write_text(json.dumps(meta))
+    run("blind", "attack", "--trace", tmp_path / "run" / "trace.bin",
+        "--meta", tmp_path / "blind.json",
+        "--out-dir", tmp_path / "run" / "blind", rc=EXIT_OK)
+    cfg = small_config(tmp_path, alpha=0.0)
+    cfg_data = json.loads(cfg.read_text())
+    cfg_data["scalar"] = {"bits": 64, "ones_below_msb": 30, "pick_seed": 1}
+    cfg.write_text(json.dumps(cfg_data))
+    run("null simulate", "simulate", "--config", cfg,
+        "--out-dir", tmp_path / "null", rc=EXIT_OK)
+    run("null attack", "attack", "--trace", tmp_path / "null" / "trace.bin",
+        "--out-dir", tmp_path / "null" / "report", rc=EXIT_NOT_RECOVERED)
+    files = {p.relative_to(tmp_path).as_posix():
+             hashlib.sha256(p.read_bytes()).hexdigest()
+             for d in ("run", "null") for p in (tmp_path / d).rglob("*")
+             if p.is_file()}
+    assert files == {
+        "run/blind/attack_summary.txt":
+            "3b97083611620127935fe4af056b9649a6ab10fb344d4f72f452dd8c080a7cb6",
+        "run/report/attack_correctness.csv":
+            "783c8586008eaa5e8b4500689112e8072b8778751250797c24f20829613cccbe",
+        "run/report/attack_correctness.svg":
+            "1cbb2cee59c3e027edc1903f35e21737099ce3cd7f8a44102fbbd2d44b564561",
+        "run/report/attack_summary.txt":
+            "f04d9e3b7da042e4eb2c68851467bb352c5f50e528d99ca3f4d27726a7795a35",
+        "run/trace.bin":
+            "138f9471285aabefd113ad361d22f03af74b728d005bc5cf20407bc306edb6bc",
+        "run/trace.json":
+            "c6b321928e6612ec3d7cf62c2f388dda4f4a436475cc6eb6ca7c06c6eb6ea086",
+        "null/report/attack_correctness.csv":
+            "a11e6bf4317c0bdbcf32258f3d3b3dcfa6cf6907228d2a227a113803483641ed",
+        "null/report/attack_correctness.svg":
+            "12c0cf2dc6f29da352c5e44f212796b2a741d0da1d6adf5633e5bd61b3eb5225",
+        "null/report/attack_summary.txt":
+            "b4d111e807fc45f661a428812a40e0e533b9535c7f852580b7affd6d7d865906",
+        "null/trace.bin":
+            "ab584683f02fa476bc3d8f5780456f056bdfe474049420697c125ed2b94e9bdb",
+        "null/trace.json":
+            "e573b60b369018db4ceec3a3a613ed9c4ee881d0b242804d30e3bbee1de1c733",
+    }
+    assert stdout == {
+        "simulate":
+            "58ecdd7ac8d7fdaf66e7b1ad0288bf3d4d1d654d5075d8fa717fced2d95c0314",
+        "attack":
+            "6ebf9699129cd7b179e40b11520fdf3eab53d18294e955f336cb47dd45f43cb0",
+        "blind":
+            "1630166e21c5f12bd75e8f2eb7c808cabe73c451a011ab56e7da0188cb26e9e5",
+        "null simulate":
+            "17dbf4cdb54cb9c949e9f55646b3c4b5f2fad0f17172418413187db6fddb6161",
+        "null attack":
+            "0f1af803a5d68721de184d873c9435fbbbc88ae0e4b34864a3fa6564e3e3ccfd",
+    }
 
 
 def test_unsatisfiable_scalar_constraint(tmp_path, capsys):

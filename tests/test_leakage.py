@@ -19,7 +19,7 @@ from atomspa.sched import (ADDSUB, MULT, Timing, addressing_diff,
                            build_schedules, mult_block_state)
 from atomspa import leakage
 from atomspa.leakage import (ADDRESS_BITS, DEFAULT_ADDRESS_CODES,
-                             DEFAULT_BASE_LEVELS, WINDOWS, LeakageParams,
+                             BASE_LEVELS, WINDOWS, LeakageParams,
                              Trace, line_walk, read_trace, simulate_trace,
                              window_levels, write_trace)
 from atomspa.spa import run_attack
@@ -51,7 +51,7 @@ def reference_sequence():
 
 
 def test_zero_leak_zero_noise_is_pure_base_profile():
-    lv = DEFAULT_BASE_LEVELS
+    lv = BASE_LEVELS
     want = np.concatenate([
         np.full(SPC, lv[f"mult:{mult_block_state(e.mult_state)}"]
                 + lv[f"addsub:{e.addsub_state}"])

@@ -11,8 +11,8 @@ from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, EXT_QX, EXT_QY,
                            PATTERNS, REGISTER_NAMES, fresh_registers,
                            reference_k_mul, run_pattern, to_affine)
 from atomspa.sched import (DUMMY_OPS, ISSUE_ORDER, MULT, ScheduleError, Timing,
-                           Transaction, _Scheduler, addressing_diff,
-                           build_schedules)
+                           Transaction, _Scheduler, _first_access,
+                           addressing_diff, build_schedules)
 
 D_SCHED, A_SCHED = build_schedules()
 DIFF = addressing_diff(D_SCHED, A_SCHED)
@@ -138,6 +138,17 @@ def test_filler_ops_only_in_addition():
     for kind, indices in DUMMY_OPS.items():
         assert all(op.kind == "add" for op in PATTERNS[kind]
                    if op.index in indices)
+
+
+def test_filler_rule_needs_no_pattern_boundary():
+    # an op whose result the rest of its own pattern never touches counts
+    # as live; so it is, since some pattern reads that register before
+    # writing it, and liveness never has to follow it into the next pattern
+    for table in PATTERNS.values():
+        for i, op in enumerate(table):
+            if _first_access(op.dst, table[i + 1:]) is None:
+                assert any(_first_access(op.dst, succ) == "read"
+                           for succ in PATTERNS.values()), op
 
 
 def test_issue_order_hoists_op_6_past_op_5():
