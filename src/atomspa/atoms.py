@@ -180,16 +180,11 @@ def run_pattern(kind, regs, curve, q=None):
             raise ValueError("addition pattern needs the affine addend")
         # the addend's ports sit in the register file while the pattern runs
         regs[EXT_QX], regs[EXT_QY] = q.x, q.y
+    arith = {"mul": f.mul, "add": f.add, "sub": f.sub}
     for op in PATTERNS[kind]:
         a = regs[op.src1]
-        if op.kind == "mul":
-            regs[op.dst] = f.mul(a, regs[op.src2])
-        elif op.kind == "add":
-            regs[op.dst] = f.add(a, regs[op.src2])
-        elif op.kind == "sub":
-            regs[op.dst] = f.sub(a, regs[op.src2])
-        else:  # copy
-            regs[op.dst] = a
+        regs[op.dst] = (a if op.kind == "copy"
+                        else arith[op.kind](a, regs[op.src2]))
     if kind == "A":
         del regs[EXT_QX], regs[EXT_QY]
     return regs

@@ -25,6 +25,9 @@ float32 operations in the same order to every sample whatever the block or
 thread, so the trace is a pure function of its inputs, byte for byte, for
 any worker count.  The uniforms are multiples of 2**-24, so |noise| is
 capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of about 8e-9.
+Sigma 0, the idealized noiseless machine, takes the same render: every
+noise sample is then a signed zero, and a signed zero added to a level
+leaves the level, so each sample is its window's level exactly.
 """
 
 import hashlib
@@ -292,8 +295,7 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     h = (spp + 1) // 2
     sigma = np.float32(params.sigma)
     two_pi = np.float32(2.0 * math.pi)
-    if params.sigma > 0:
-        states = _pattern_states(params.seed, n)
+    states = _pattern_states(params.seed, n)
 
     def render(start, u, gen):
         stop = min(start + BLOCK, n)
@@ -301,10 +303,6 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
         # the first window starts from the line state its own kind leaves
         w = [window[(seq[i - 1] if i > 0 else seq[0], seq[i])]
              for i in range(start, stop)]
-        if params.sigma == 0:
-            for row, wi in zip(out, w):
-                row[:] = wi
-            return
         u = u[: stop - start]
         for row, i in zip(u, range(start, stop)):
             gen.state = {"bit_generator": "SFC64",

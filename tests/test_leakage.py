@@ -155,6 +155,22 @@ def test_worker_count_does_not_change_samples():
             assert t.samples.tobytes() == want, (n, spc, sigma, workers)
 
 
+def test_zero_scale_noise_leaves_the_levels():
+    # sigma 0 takes the noise render too: its noise is +-0, including at
+    # the signed zero that LeakageParams accepts and at negative levels
+    for sigma, alpha, n, workers in itertools.product(
+            (0.0, -0.0), (0.0, 1.0, -3.5), (1, 8, 9), (1, 3)):
+        p = params(sigma=sigma, alpha=alpha, seed=5)
+        levels = window_levels(D, A, p)
+        seq = tuple(("DADDDA" * 2)[:n])
+        want = np.concatenate([
+            np.repeat(levels[(seq[max(i - 1, 0)], k)], SPC)
+            for i, k in enumerate(seq)])
+        t = simulate_trace(seq, D, A, p, workers=workers)
+        assert t.samples.tobytes() == want.tobytes(), (sigma, alpha, n,
+                                                       workers)
+
+
 def test_a_render_leaves_no_thread_behind(monkeypatch):
     seq = tuple(("DADDDA" * 4)[:19])
     p = params(sigma=0.2)
