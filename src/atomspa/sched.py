@@ -17,28 +17,33 @@ the operation at the same position of the addition take the same cycles,
 the first ones where the operands of both are ready, and only the registers
 they address differ.  The block states, and the add/sub operation that owns
 each cycle of that unit, are recorded once, as each operation is placed.
-The controller issues the operations in ISSUE_ORDER: table order, except
-that with overlap on, a multiplication issues ahead of add/sub work that
-neither feeds it nor writes its destination, which moves op 6 ahead of
-op 5.  A square reads one register twice: when the first port latches the
-value during its producer's write-back (writeback+load), the second port
-fetches the register in the next cycle; otherwise the register keeps
-driving the bus and the second port latches silently (latch2).
+The controller issues the operations in the order _issue_order gives:
+table order, except that with overlap on, a multiplication issues ahead of
+add/sub work that neither feeds it nor writes its destination, which moves
+op 6 ahead of op 5.  A square reads one register twice: when the first port
+latches the value during its producer's write-back (writeback+load), the
+second port fetches the register in the next cycle; otherwise the register
+keeps driving the bus and the second port latches silently (latch2).
 A filler is an op whose result the rest of its own pattern overwrites
-before reading it (addition ops 2, 5 and 8, DUMMY_OPS); it reads whatever
-its registers hold, so it waits for no operand and holds back no
-write-back.
+before reading it (addition ops 2, 5 and 8, as _fillers finds them); it
+reads whatever its registers hold, so it waits for no operand and holds
+back no write-back.
 The schedule is the steady-state window between consecutive
 first-multiplication starts: tail work of a pattern (final write-back, the
 register copy, the last subtraction) spills over the boundary and lands at
 the head of the next window, which is why the window's first cycle carries
 the previous final-product write-back.
+
+The fillers and the issue order come from the tables scheduled: besides
+atoms.PATTERNS, any pair {"D": ..., "A": ...} with the doubling's op kind at
+every position schedules by _Scheduler(timing, tables).windows().
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
-from atomspa.atoms import DOUBLE_PATTERN, PATTERNS, REGISTER_NAMES
+from atomspa.atoms import PATTERNS, REGISTER_NAMES
 from atomspa.field import mul_schedule
 
 MULT = "MULT"
@@ -111,42 +116,36 @@ def _first_access(reg, ops):
     return None
 
 
-def _compute_dummies():
-    """Operations whose result the rest of their own pattern overwrites
-    before reading it (per pattern).  An op whose result the rest of its
-    pattern never touches counts as live.
+def _fillers(ops):
+    """Indices of the ops of one table whose result the rest of the table
+    overwrites before reading it.  An op whose result the rest of its table
+    never touches counts as live.
     """
-    return {kind: frozenset(
-                op.index for i, op in enumerate(ops)
-                if _first_access(op.dst, ops[i + 1:]) == "write")
-            for kind, ops in PATTERNS.items()}
+    return frozenset(op.index for i, op in enumerate(ops)
+                     if _first_access(op.dst, ops[i + 1:]) == "write")
 
 
-DUMMY_OPS = _compute_dummies()
+def _issue_order(tables, overlap):
+    """Table positions in issue order.
 
-
-def _compute_issue_order():
-    """Table positions in issue order, for overlap off and on.
-
-    With overlap, the first multiplication left issues ahead of the ops
-    before it unless one of them feeds it an operand or writes its
-    destination, in either pattern.  Every filler op is an add, so the
-    multiplication's operands are real.
+    Without overlap, table order.  With it, the first multiplication left
+    issues ahead of the ops before it unless one of them feeds it an operand
+    or writes its destination, in any table.  A filler's operands count as
+    real here, which can only hold a multiplication back.
     """
-    left = list(range(len(DOUBLE_PATTERN)))
+    left = list(range(len(tables["D"])))
+    if not overlap:
+        return tuple(left)
     order = []
     while left:
         k = left[0]
-        m = next((m for m in left if DOUBLE_PATTERN[m].kind == "mul"), k)
+        m = next((m for m in left if tables["D"][m].kind == "mul"), k)
         if any(ops[j].dst in (ops[m].src1, ops[m].src2, ops[m].dst)
-               for ops in PATTERNS.values() for j in range(k, m)):
+               for ops in tables.values() for j in range(k, m)):
             m = k
         order.append(m)
         left.remove(m)
-    return {False: tuple(range(len(DOUBLE_PATTERN))), True: tuple(order)}
-
-
-ISSUE_ORDER = _compute_issue_order()
+    return tuple(order)
 
 
 class _Pending(NamedTuple):
@@ -169,13 +168,24 @@ class _PatternState:
 
 
 class _Scheduler:
-    def __init__(self, timing):
+    def __init__(self, timing, tables):
+        # each position runs on the unit its doubling op picks, so every
+        # table must have the doubling's op kinds, position by position
+        for kind, ops in tables.items():
+            for pos, pair in enumerate(zip_longest(ops, tables["D"]), 1):
+                here, there = (getattr(op, "kind", "no op") for op in pair)
+                if here != there:
+                    raise ScheduleError(f"{kind} has {here} at position {pos} "
+                                        f"where D has {there}")
         self.t = timing
+        self.tables = tables
+        self.fillers = {kind: _fillers(ops) for kind, ops in tables.items()}
+        self.order = _issue_order(tables, timing.overlap)
         # a unit computes for this many cycles after its two fetch cycles;
         # a product then leaves through one output cycle
         self.steps = {MULT: mul_schedule(timing.mul_plan).step_count,
                       ADDSUB: 1}
-        self.ps = {k: _PatternState() for k in PATTERNS}
+        self.ps = {k: _PatternState() for k in tables}
         self.states = {}           # absolute cycle -> multiplier state
         self.addsub = {}           # absolute cycle -> (add/sub state, op kind)
         self.last_step = {}        # block -> last compute cycle of its latest op
@@ -238,7 +248,7 @@ class _Scheduler:
         st = self.ps[kind]
         if f1 in st.bus or f1 + 1 in st.bus:
             return None
-        dummy = op.index in DUMMY_OPS[kind]
+        dummy = op.index in self.fillers[kind]
         txs = {}
         for pos, src in ((1, op.src1), (2, op.src2)):
             c = f1 + pos - 1
@@ -325,7 +335,7 @@ class _Scheduler:
             st = self.ps[kind]
             # a filler operation reads whatever the register holds, so it
             # puts no write-after-read pressure on pending results
-            if op.index not in DUMMY_OPS[kind]:
+            if op.index not in self.fillers[kind]:
                 for c, src in ((f1, op.src1), (f1 + 1, op.src2)):
                     if src in REGISTER_NAMES:
                         st.last_read[src] = max(st.last_read[src], c)
@@ -366,14 +376,32 @@ class _Scheduler:
 
     def run(self, instances):
         for n in range(instances):
-            for pos in ISSUE_ORDER[self.t.overlap]:
-                ops = {kind: table[pos] for kind, table in PATTERNS.items()}
+            for pos in self.order:
+                ops = {kind: table[pos] for kind, table in self.tables.items()}
                 if ops["D"].kind == "copy":
                     self._schedule_copy(n, ops)
                 else:
                     self._schedule_unit(
                         MULT if ops["D"].kind == "mul" else ADDSUB, n, ops)
         return self
+
+    def windows(self):
+        """The steady-state PatternSchedule of each table, in table order."""
+        starts = self.run(8).window_starts
+        periods = [b - a for a, b in zip(starts, starts[1:])]
+        if len(periods) < 3 or periods[-1] != periods[-2]:
+            raise ScheduleError(
+                f"schedule does not reach a steady state: {periods}")
+        period = periods[-1]
+        # take the last fully settled window; its successor must repeat it
+        schedules = []
+        for kind in self.tables:
+            window = _window(self, kind, starts[-3], period)
+            if window != _window(self, kind, starts[-2], period):
+                raise ScheduleError(f"{kind}: schedule is not periodic "
+                                    f"over {period} cycles")
+            schedules.append(window)
+        return tuple(schedules)
 
 
 def _window(sched, kind, start, period):
@@ -415,23 +443,7 @@ def build_schedules(timing=None):
     Returns (d_sched, a_sched).  Raises ScheduleError when the dependency
     graph cannot be laid out under the given timing rules.
     """
-    t = timing or Timing()
-    instances = 8
-    sched = _Scheduler(t).run(instances)
-    starts = sched.window_starts
-    periods = [b - a for a, b in zip(starts, starts[1:])]
-    if len(periods) < 3 or periods[-1] != periods[-2]:
-        raise ScheduleError(f"schedule does not reach a steady state: {periods}")
-    period = periods[-1]
-    # take the last fully settled window; its successor must repeat it
-    schedules = []
-    for kind in PATTERNS:
-        window = _window(sched, kind, starts[-3], period)
-        if window != _window(sched, kind, starts[-2], period):
-            raise ScheduleError(f"{kind}: schedule is not periodic "
-                                f"over {period} cycles")
-        schedules.append(window)
-    return tuple(schedules)
+    return _Scheduler(timing or Timing(), PATTERNS).windows()
 
 
 def addressing_diff(d, a):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,8 @@ from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, EXT_QX, EXT_QY,
                            PATTERNS, REGISTER_NAMES, fresh_registers,
                            reference_k_mul, run_pattern, to_affine)
-from atomspa.sched import (DUMMY_OPS, ISSUE_ORDER, MULT, ScheduleError, Timing,
-                           Transaction, _Scheduler, _first_access,
+from atomspa.sched import (MULT, ScheduleError, Timing, Transaction,
+                           _Scheduler, _fillers, _first_access, _issue_order,
                            addressing_diff, build_schedules)
 
 D_SCHED, A_SCHED = build_schedules()
@@ -131,11 +132,12 @@ def test_op_roles_complete():
 
 
 def test_filler_ops_only_in_addition():
-    assert DUMMY_OPS["D"] == frozenset()
-    assert DUMMY_OPS["A"] == frozenset({2, 5, 8})
+    fillers = {kind: _fillers(ops) for kind, ops in PATTERNS.items()}
+    assert fillers["D"] == frozenset()
+    assert fillers["A"] == frozenset({2, 5, 8})
     # the scheduler hoists a multiplication without asking whether it is
     # a filler: every filler op is an add
-    for kind, indices in DUMMY_OPS.items():
+    for kind, indices in fillers.items():
         assert all(op.kind == "add" for op in PATTERNS[kind]
                    if op.index in indices)
 
@@ -154,8 +156,9 @@ def test_filler_rule_needs_no_pattern_boundary():
 def test_issue_order_hoists_op_6_past_op_5():
     # with overlap the multiplication at op 6 issues before the add at op 5,
     # whose result it does not read; without it, table order
-    indices = {overlap: [DOUBLE_PATTERN[pos].index for pos in order]
-               for overlap, order in ISSUE_ORDER.items()}
+    indices = {overlap: [DOUBLE_PATTERN[pos].index
+                         for pos in _issue_order(PATTERNS, overlap)]
+               for overlap in (False, True)}
     assert indices == {False: list(range(1, 22)),
                        True: [1, 2, 3, 4, 6, 5, *range(7, 22)]}
 
@@ -272,6 +275,41 @@ def test_multiplier_plan_sets_pattern_length(plan, cycles, diff, pp):
         [e.addsub_state for e in a.events]
 
 
+def _swapped(ops):
+    """ops with the two operands of every mul and add swapped."""
+    return tuple(replace(op, src1=op.src2, src2=op.src1)
+                 if op.kind in ("mul", "add") else op for op in ops)
+
+
+@pytest.mark.parametrize("timing, same, swapped", [
+    (Timing(), (92, 0), (110, 49)),
+    (Timing(overlap=False), (128, 0), (136, 47)),
+    (Timing(mul_plan="classical"), (162, 0), (180, 49)),
+], ids=["default", "overlap-off", "classical"])
+def test_any_aligned_pair_schedules(timing, same, swapped):
+    # the doubling against itself addresses the bus alike in every cycle
+    d, a = _Scheduler(timing, {"D": DOUBLE_PATTERN,
+                               "A": DOUBLE_PATTERN}).windows()
+    assert d.events == a.events
+    assert (d.cycle_count, len(addressing_diff(d, a))) == same
+    # a commutative swap in the addition moves its fetches and its leak
+    d, a = _Scheduler(timing, {"D": DOUBLE_PATTERN,
+                               "A": _swapped(PATTERNS["A"])}).windows()
+    assert d.cycle_count == a.cycle_count
+    assert (d.cycle_count, len(addressing_diff(d, a))) == swapped
+
+
+def test_misaligned_pair_is_refused():
+    moved = list(PATTERNS["A"])
+    moved[2], moved[3] = moved[3], moved[2]  # the sub at 3 after the mul at 4
+    with pytest.raises(ScheduleError, match="A has mul at position 3 "
+                                            "where D has sub"):
+        _Scheduler(Timing(), {"D": DOUBLE_PATTERN, "A": tuple(moved)})
+    with pytest.raises(ScheduleError, match="A has no op at position 21 "
+                                            "where D has sub"):
+        _Scheduler(Timing(), {"D": DOUBLE_PATTERN, "A": PATTERNS["A"][:-1]})
+
+
 def test_schedule_dataflow_matches_repeated_doubling(schedulable_grid):
     """Bus-level replay of a doubling-only stream reproduces 2^n * G.
 
@@ -333,8 +371,8 @@ class _RecordingScheduler(_Scheduler):
     their operands at f1 and f1 + 1, and copies (instance, op_index, cycle)
     of the register copies."""
 
-    def __init__(self, timing):
-        super().__init__(timing)
+    def __init__(self, timing, tables):
+        super().__init__(timing, tables)
         self.fetches = []
         self.copies = []
 
@@ -370,7 +408,7 @@ def _replay(timing, kind):
         q = AffinePoint(rng.randrange(f.p), rng.randrange(f.p))
     start = (dict(regs), q)
     ext = {EXT_QX: q.x, EXT_QY: q.y} if q else {}
-    sch = _RecordingScheduler(timing).run(REPLAYED)
+    sch = _RecordingScheduler(timing, PATTERNS).run(REPLAYED)
     bus = sch.ps[kind].bus
     ops = {op.index: op for op in PATTERNS[kind]}
 

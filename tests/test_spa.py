@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from atomspa.field import get_curve
-from atomspa.atoms import AffinePoint, ScalarK, k_mul
-from atomspa.sched import addressing_diff, build_schedules
+from atomspa.atoms import (AffinePoint, ScalarK, k_mul,
+                           scalar_for_pattern_counts)
+from atomspa.sched import Timing, addressing_diff, build_schedules
 from atomspa.leakage import LeakageParams, Trace, simulate_trace
 from atomspa.spa import (_blind_recovery, classify_matrix, correctness_curve,
                          mean_pattern, recover_scalar, run_attack, segment)
@@ -289,6 +290,61 @@ def test_run_attack_null_model_fails_closed():
     rep = run_attack(trace)
     assert not rep.recovered
     assert rep.recovered_scalar is None
+
+
+@pytest.mark.parametrize("plan", ["karatsuba4", "classical"])
+@pytest.mark.parametrize("overlap", [True, False])
+def test_every_toy61_scalar_with_an_addition_recovers(plan, overlap):
+    # the attack's domain, at sigma 0 and one sample per cycle: a power of
+    # two runs doublings only, so its trace has no D/A contrast and it is
+    # reported not recovered; every other scalar is read back exactly
+    curve = get_curve("toy61")
+    g = AffinePoint(curve.gx, curve.gy)
+    d, a = build_schedules(Timing(mul_plan=plan, overlap=overlap))
+    p = LeakageParams(sigma=0.0, samples_per_cycle=1)
+    got = {k: run_attack(simulate_trace(k_mul(k, g, curve)[1], d, a, p,
+                                        workers=1)).recovered_scalar
+           for k in range(2, curve.n)}
+    assert sorted(k for k, s in got.items() if s is None) == \
+        [2, 4, 8, 16, 32, 64]
+    assert all(s.value == k for k, s in got.items() if s is not None)
+
+
+def _outcome(trace):
+    rep = run_attack(trace)
+    return (rep.recovered_bits, rep.recovered_support, rep.best_sample,
+            rep.perfect_count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 1 << 12), alpha=st.sampled_from([0.0, 1.0]),
+       sigma=st.sampled_from([0.0, 0.05, 1.0, 4.0]),
+       seed=st.integers(0, 1 << 16), scale=st.sampled_from([2.0, 0.25]))
+def test_scaling_by_a_power_of_two_keeps_the_attack(k, alpha, sigma, seed,
+                                                    scale):
+    # scaling a float32 sample by a power of two is exact, and so is every
+    # sum, mean, threshold and comparison the attack makes of the result
+    trace, _ = small_trace(k=k, sigma=sigma, alpha=alpha, seed=seed)
+    scaled = Trace(trace.samples * np.float32(scale), trace.meta)
+    assert _outcome(scaled) == _outcome(trace)
+
+
+@pytest.mark.parametrize("sigma, support, best", [
+    (0.0, 15900, 0), (0.05, 15900, 0), (1.0, 1071, 300), (2.0, 5, 7290),
+])
+def test_negation_keeps_the_attack(sigma, support, best):
+    # negation flips every label but those of samples on their column's
+    # threshold, and the polarity fix by the first window undoes the flip;
+    # a trace can have such ties, so the reference traces are pinned here
+    curve = get_curve("P-256")
+    g = AffinePoint(curve.gx, curve.gy)
+    k = scalar_for_pattern_counts(256, 145, curve, seed=1)
+    trace = simulate_trace(k_mul(k, g, curve)[1], D, A,
+                           LeakageParams(sigma=sigma, seed=1))
+    outcome = _outcome(trace)
+    assert outcome == _outcome(Trace(-trace.samples, trace.meta))
+    assert ScalarK(outcome[0]) == k
+    assert outcome[1:3] == (support, best)
 
 
 def test_monotone_degradation_with_noise(tmp_path):
