@@ -10,13 +10,13 @@ current one, and a finished product may be written back while the next one
 is already computing.  The adder/subtractor takes two fetch cycles plus one
 processing cycle.
 
-The pattern kinds are the keys of atoms.PATTERNS, D and A.  Both atomic
-patterns must exhibit the identical block-state sequence, so both are
-placed together on one timeline: each operation of the doubling and
-the operation at the same position of the addition take the same cycles,
-the first ones where the operands of both are ready, and only the registers
-they address differ.  The block states, and the add/sub operation that owns
-each cycle of that unit, are recorded once, as each operation is placed.
+Both atomic patterns, the doubling D and the addition A, must exhibit the
+identical block-state sequence, so both are placed together on one
+timeline: each operation of the doubling and the operation at the same
+position of the addition take the same cycles, the first ones where the
+operands of both are ready, and only the registers they address differ.
+The block states, and the add/sub operation that owns each cycle of that
+unit, are recorded once, as each operation is placed.
 The controller issues the operations in the order _issue_order gives:
 table order, except that with overlap on, a multiplication issues ahead of
 add/sub work that neither feeds it nor writes its destination, which moves
@@ -24,6 +24,8 @@ op 6 ahead of op 5.  A square reads one register twice: when the first port
 latches the value during its producer's write-back (writeback+load), the
 second port fetches the register in the next cycle; otherwise the register
 keeps driving the bus and the second port latches silently (latch2).
+A register copy takes one bus cycle and reads its source by the fetch
+rule: a source still held in a unit is written back first.
 A filler is an op whose result the rest of its own pattern overwrites
 before reading it (addition ops 2, 5 and 8, as _fillers finds them); it
 reads whatever its registers hold, so it waits for no operand and holds
@@ -34,9 +36,10 @@ register copy, the last subtraction) spills over the boundary and lands at
 the head of the next window, which is why the window's first cycle carries
 the previous final-product write-back.
 
-The fillers and the issue order come from the tables scheduled: besides
-atoms.PATTERNS, any pair {"D": ..., "A": ...} with the doubling's op kind at
-every position schedules by _Scheduler(timing, tables).windows().
+Besides atoms.PATTERNS, any pair {"D": ..., "A": ...} with the doubling's
+op kind at every position schedules by _Scheduler(timing, tables).windows(),
+with the fillers and the issue order of that pair.  Only the op kinds are
+checked; the tests check dataflow, replaying the bus against in-order runs.
 """
 
 from dataclasses import dataclass
@@ -215,14 +218,20 @@ class _Scheduler:
                 return w
         return None
 
-    def _commit(self, kind, txs):
-        """Put txs on the bus and publish the write-backs among them."""
+    def _commit(self, kind, txs, instance):
+        """Put txs of instance on the bus and book their reads and writes."""
         st = self.ps[kind]
         st.bus.update(txs)
         for w, tx in txs.items():
             if tx.role.startswith("writeback"):
                 pend = st.pending.pop(tx.src)
                 st.ready[pend.dst] = (w + READABLE_LAG, pend.instance)
+            elif tx.role == "copy":
+                st.ready[tx.dsts[0]] = (w + READABLE_LAG, instance)
+            # a filler holds back no write-back (see the module docstring)
+            if (tx.src in REGISTER_NAMES
+                    and tx.op_index not in self.fillers[kind]):
+                st.last_read[tx.src] = max(st.last_read[tx.src], w)
 
     def _flush(self, kind, block, deadline):
         """Write back block's pending result by deadline, before it is replaced."""
@@ -234,24 +243,25 @@ class _Scheduler:
             raise ScheduleError(
                 f"{kind}: cannot write back {block} result by cycle {deadline}")
         self._commit(kind, {w: Transaction(block, (pend.dst,), pend.op_index,
-                                           "writeback")})
+                                           "writeback")}, pend.instance)
 
     # -- operand fetches -------------------------------------------------------
 
     def _plan(self, kind, instance, op, f1, receiver):
-        """Bus transactions that bring op's operands into receiver at f1, f1 + 1.
+        """Bus transactions that bring op's operands into receiver from f1 on.
 
         Returns cycle -> Transaction, including the write-backs and
         forwarded loads the fetches need, or None when a fetch cycle is
         busy or an operand cannot be ready in time.
         """
         st = self.ps[kind]
-        if f1 in st.bus or f1 + 1 in st.bus:
-            return None
+        roles = ("copy",) if op.kind == "copy" else ("fetch1", "fetch2")
         dummy = op.index in self.fillers[kind]
         txs = {}
-        for pos, src in ((1, op.src1), (2, op.src2)):
+        for pos, (src, role) in enumerate(zip((op.src1, op.src2), roles), 1):
             c = f1 + pos - 1
+            if c in st.bus:
+                return None
             if pos == 2 and src == op.src1:
                 # a square (see the module docstring); after a
                 # write-back+load the register is readable from
@@ -277,22 +287,22 @@ class _Scheduler:
                                              pend.op_index, "writeback")
                     elif (self.t.overlap and c >= self._wb_min(kind, pend)
                           and (receiver == MULT
-                               or (pos == 1 and producer == MULT))):
+                               or (role == "fetch1" and producer == MULT))):
                         # the receiving port latches the value during its
                         # write-back; the multiplier's ports may take any
                         # result in flight, the add/sub unit's first port
-                        # only a product
+                        # only a product, a copy none (two register receivers)
                         txs[c] = Transaction(producer, (pend.dst, receiver),
                                              pend.op_index, "writeback+load")
                         continue
                     else:
                         return None
-            txs[c] = Transaction(src, (receiver,), op.index, f"fetch{pos}")
+            txs[c] = Transaction(src, (receiver,), op.index, role)
         return txs
 
     # -- op placement ----------------------------------------------------------
 
-    def _place(self, lo, ops, plan, what):
+    def _place(self, lo, instance, ops, plan, what):
         """Commit both plans at the first cycle c from lo where both exist.
 
         plan(kind, op, c) gives the transactions of op placed at cycle c, or
@@ -306,7 +316,7 @@ class _Scheduler:
                     break
             else:
                 for kind, txs in plans.items():
-                    self._commit(kind, txs)
+                    self._commit(kind, txs, instance)
                 return c
         raise ScheduleError(f"no slot for {what}")
 
@@ -328,20 +338,15 @@ class _Scheduler:
             return self._plan(kind, instance, op, f1, block)
 
         name = "multiplication" if block == MULT else "add/sub"
-        f1 = self._place(lo, ops, plan, f"{name} op {ops['D'].index}")
+        f1 = self._place(lo, instance, ops, plan,
+                         f"{name} op {ops['D'].index}")
         first, last = f1 + 2, f1 + 1 + steps
         earliest = last + out + (self.t.mult_wb_lag if block == MULT else 0)
         for kind, op in ops.items():
-            st = self.ps[kind]
-            # a filler operation reads whatever the register holds, so it
-            # puts no write-after-read pressure on pending results
-            if op.index not in self.fillers[kind]:
-                for c, src in ((f1, op.src1), (f1 + 1, op.src2)):
-                    if src in REGISTER_NAMES:
-                        st.last_read[src] = max(st.last_read[src], c)
             # the previous result must leave the unit before this one lands
             self._flush(kind, block, last)
-            st.pending[block] = _Pending(op.index, instance, op.dst, earliest)
+            self.ps[kind].pending[block] = _Pending(op.index, instance, op.dst,
+                                                    earliest)
         if block == MULT:
             for i, c in enumerate(range(first, last + 1), start=1):
                 self.states[c] = f"pp{i}"
@@ -361,18 +366,13 @@ class _Scheduler:
     def _schedule_copy(self, instance, ops):
         """Place one register copy of each pattern in a single bus cycle."""
         def plan(kind, op, c):
-            st = self.ps[kind]
-            if c in st.bus or c < max(self._ready(kind, op.src1, instance),
-                                      st.last_read[op.dst] + 1):
-                return None
-            return {c: Transaction(op.src1, (op.dst,), op.index, "copy")}
+            # the copy must not overwrite its destination before it is read
+            if c > self.ps[kind].last_read[op.dst]:
+                return self._plan(kind, instance, op, c, op.dst)
+            return None
 
-        c = self._place(self.barrier + 1, ops, plan,
-                        f"copy op {ops['D'].index}")
-        for kind, op in ops.items():
-            st = self.ps[kind]
-            st.last_read[op.src1] = max(st.last_read[op.src1], c)
-            st.ready[op.dst] = (c + READABLE_LAG, instance)
+        self._place(self.barrier + 1, instance, ops, plan,
+                    f"copy op {ops['D'].index}")
 
     def run(self, instances):
         for n in range(instances):

@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, EXT_QX, EXT_QY,
@@ -313,10 +314,10 @@ def test_misaligned_pair_is_refused():
 def test_schedule_dataflow_matches_repeated_doubling(schedulable_grid):
     """Bus-level replay of a doubling-only stream reproduces 2^n * G.
 
-    Checked over the whole timing grid: both multiplier plans, overlap on
-    and off, and multiplier write-back lags 0..10.  Every config either
-    raises ScheduleError or gives identical D/A block states, at most one
-    register receiver per cycle, and a correct replay.
+    Checked over every schedulable config of the timing grid: both
+    multiplier plans, overlap on and off, and multiplier write-back lags
+    0..19.  Each gives identical D/A block states, at most one register
+    receiver per cycle, and a correct replay.
 
     Operand values are captured at the scheduled load cycles and results
     are published at the scheduled write-back cycles.  A fetch placed before
@@ -327,8 +328,6 @@ def test_schedule_dataflow_matches_repeated_doubling(schedulable_grid):
     curve = get_curve("P-256")
     g = AffinePoint(curve.gx, curve.gy)
     for timing, d, a in schedulable_grid:
-        if timing.mult_wb_lag > 10:
-            continue
         assert [e.mult_state for e in d.events] == \
             [e.mult_state for e in a.events], timing
         assert [e.addsub_state for e in d.events] == \
@@ -352,8 +351,6 @@ def test_schedule_dataflow_matches_repeated_additions(schedulable_grid):
     """
     curve = get_curve("P-256")
     for timing, _d, _a in schedulable_grid:
-        if timing.mult_wb_lag > 10:
-            continue
         got, (want, q) = _replay(timing, "A")
         for _ in range(REPLAYED - 1):
             want = run_pattern("A", want, curve, q)
@@ -385,12 +382,14 @@ class _RecordingScheduler(_Scheduler):
     def _schedule_copy(self, instance, ops):
         before = set(self.ps["D"].bus)
         super()._schedule_copy(instance, ops)
-        (cycle,) = set(self.ps["D"].bus) - before
+        # the same plan may write the copy's source back first
+        bus = self.ps["D"].bus
+        (cycle,) = (c for c in set(bus) - before if bus[c].role == "copy")
         self.copies.append((instance, ops["D"].index, cycle))
 
 
-def _replay(timing, kind):
-    """Replay pattern `kind` on the bus of a REPLAYED-instance schedule.
+def _replay(timing, kind, tables=PATTERNS):
+    """Replay tables[kind] on the bus of a REPLAYED-instance schedule.
 
     Returns the register file once every op of the first REPLAYED - 1
     instances has landed, and the (registers, addend) it started from.
@@ -408,9 +407,9 @@ def _replay(timing, kind):
         q = AffinePoint(rng.randrange(f.p), rng.randrange(f.p))
     start = (dict(regs), q)
     ext = {EXT_QX: q.x, EXT_QY: q.y} if q else {}
-    sch = _RecordingScheduler(timing, PATTERNS).run(REPLAYED)
+    sch = _RecordingScheduler(timing, tables).run(REPLAYED)
     bus = sch.ps[kind].bus
-    ops = {op.index: op for op in PATTERNS[kind]}
+    ops = {op.index: op for op in tables[kind]}
 
     # per-instance fetch slots: where each op captures its two operands
     fetch_owner = {}
@@ -432,7 +431,7 @@ def _replay(timing, kind):
     # the register file holds the state after instance n once every op of
     # instance n landed
     last = REPLAYED - 2
-    cutoff = max(landed[(last, op.index)] for op in PATTERNS[kind])
+    cutoff = max(landed[(last, op.index)] for op in tables[kind])
 
     captured = {}
     snapshot = None
@@ -465,3 +464,72 @@ def _replay(timing, kind):
         if cyc in fetch_owner:
             captured.setdefault(fetch_owner[cyc], []).append(bus_value)
     return snapshot, start
+
+
+def _in_order(ops, start, times):
+    """The register file after times runs of ops in table order from
+    start, the (registers, addend) _replay returns."""
+    f = get_curve("P-256").field
+    regs, q = start
+    regs = dict(regs, **({EXT_QX: q.x, EXT_QY: q.y} if q else {}))
+    arith = {"mul": f.mul, "add": f.add, "sub": f.sub}
+    for _ in range(times):
+        for op in ops:
+            regs[op.dst] = (regs[op.src1] if op.kind == "copy"
+                            else arith[op.kind](regs[op.src1], regs[op.src2]))
+    return regs
+
+
+def _check_replay(timing, tables):
+    """Both tables replay on the bus as they execute in order."""
+    for kind, ops in tables.items():
+        got, start = _replay(timing, kind, tables)
+        want = _in_order(ops, start, REPLAYED - 1)
+        for reg in ("X1", "X2", "X3", "Z1", "Z2"):
+            assert got[reg] == want[reg], (timing, kind, reg)
+
+
+# the doubling whose copy takes op 19's product, still in the multiplier
+STALE_COPY = {"D": tuple(replace(op, src1="X2") if op.kind == "copy" else op
+                         for op in DOUBLE_PATTERN),
+              "A": PATTERNS["A"]}
+
+
+THREE_TIMINGS = pytest.mark.parametrize("timing", [
+    Timing(), Timing(overlap=False), Timing(mul_plan="classical"),
+], ids=["default", "overlap-off", "classical"])
+
+
+@THREE_TIMINGS
+@pytest.mark.parametrize("tables", [
+    STALE_COPY,
+    {"D": DOUBLE_PATTERN, "A": DOUBLE_PATTERN},
+    {"D": DOUBLE_PATTERN, "A": _swapped(PATTERNS["A"])},
+], ids=["stale-copy", "doubling-twice", "swapped-addition"])
+def test_aligned_pair_replays_in_order(timing, tables):
+    _check_replay(timing, tables)
+
+
+@THREE_TIMINGS
+def test_copy_lands_after_its_sources_write_back(timing):
+    # the copy reads op 19's product from its register, the cycle after
+    # the product's write-back
+    d, a = _Scheduler(timing, STALE_COPY).windows()
+    (wb,) = d.op_cycles[19]["writeback"]
+    assert d.op_cycles[20]["copy"] == a.op_cycles[20]["copy"] == (wb + 1,)
+
+
+_SWAPPABLE = [op.index for op in DOUBLE_PATTERN if op.kind in ("mul", "add")]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(swaps=st.fixed_dictionaries(
+           {kind: st.sets(st.sampled_from(_SWAPPABLE)) for kind in PATTERNS}),
+       timing=st.sampled_from([Timing(), Timing(overlap=False)]))
+def test_operand_swapped_pairs_replay_in_order(swaps, timing):
+    # commutative operand orders, the pairs a register allocation search
+    # explores, all schedule and keep the tables' dataflow
+    tables = {kind: tuple(replace(op, src1=op.src2, src2=op.src1)
+                          if op.index in swaps[kind] else op for op in ops)
+              for kind, ops in PATTERNS.items()}
+    _check_replay(timing, tables)
