@@ -13,6 +13,14 @@ addition), each cycle's level repeated samples_per_cycle times.  Only
 Hamming distances reach the samples, so XOR-ing every code of the address
 table with one common mask changes no sample.
 
+Every cycle of a window is rendered with the events of the window's own
+kind, though some belong to a neighbouring pattern: at the default timing,
+cycles 1-4 carry the previous pattern's op 19 write-back and its op 21, and
+cycles 108-109 the next pattern's op 1 fetches.  Cycles 1, 2, 3, 108 and
+109 are differing cycles, and all six leak; in an addition after a
+doubling, cycle 1 shows the addition's write-back to R0 where the machine
+writes the doubling's product to X2.
+
 Noise is N(0, sigma^2), drawn by the Box-Muller transform and written in
 place into the trace.  Its uniforms are (w >> 8) * 2**-24 in float32, for
 the 32-bit halves w of the raw words of an SFC64 generator in the state

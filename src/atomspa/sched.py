@@ -19,13 +19,15 @@ The block states, and the add/sub operation that owns each cycle of that
 unit, are recorded once, as each operation is placed.
 The controller issues the operations in the order _issue_order gives:
 table order, except that with overlap on, a multiplication issues ahead of
-add/sub work that neither feeds it nor writes its destination, which moves
-op 6 ahead of op 5.  A square reads one register twice: when the first port
+add/sub work with which it shares no register that either of them writes,
+which moves op 6 ahead of op 5.  A square reads one register twice: when the first port
 latches the value during its producer's write-back (writeback+load), the
 second port fetches the register in the next cycle; otherwise the register
 keeps driving the bus and the second port latches silently (latch2).
 A register copy takes one bus cycle and reads its source by the fetch
-rule: a source still held in a unit is written back first.
+rule: a source still held in a unit is written back first.  Results bound
+for one register land in issue order: an older one still held in a unit
+is written back before a unit's newer result or a copy lands there.
 A filler is an op whose result the rest of its own pattern overwrites
 before reading it (addition ops 2, 5 and 8, as _fillers finds them); it
 reads whatever its registers hold, so it waits for no operand and holds
@@ -34,12 +36,17 @@ The schedule is the steady-state window between consecutive
 first-multiplication starts: tail work of a pattern (final write-back, the
 register copy, the last subtraction) spills over the boundary and lands at
 the head of the next window, which is why the window's first cycle carries
-the previous final-product write-back.
+the previous final-product write-back; likewise a window's last cycles may
+carry the next pattern's first fetches.  Each Transaction names the
+pattern instance it belongs to, and _Scheduler.placed where each op of
+each instance was placed.
 
 Besides atoms.PATTERNS, any pair {"D": ..., "A": ...} with the doubling's
 op kind at every position schedules by _Scheduler(timing, tables).windows(),
 with the fillers and the issue order of that pair.  Only the op kinds are
-checked; the tests check dataflow, replaying the bus against in-order runs.
+checked; the tests check dataflow: they join the instances a D/A run
+executes, from _Scheduler(timing, tables).run(n), into one bus, and
+replay it against in-order execution of the run.
 """
 
 from dataclasses import dataclass
@@ -84,6 +91,7 @@ class Transaction(NamedTuple):
     dsts: tuple  # receiver names; at most one register plus possibly a block port
     op_index: int
     role: str    # fetch1 | fetch2 | latch2 | writeback | writeback+load | copy
+    instance: int  # pattern instance of op_index: the producer's for a write-back
 
 
 @dataclass(frozen=True)
@@ -128,13 +136,18 @@ def _fillers(ops):
                      if _first_access(op.dst, ops[i + 1:]) == "write")
 
 
+def _share_a_write(a, b):
+    """Whether ops a and b share a register that either of them writes."""
+    return a.dst in (b.dst, b.src1, b.src2) or b.dst in (a.src1, a.src2)
+
+
 def _issue_order(tables, overlap):
     """Table positions in issue order.
 
     Without overlap, table order.  With it, the first multiplication left
-    issues ahead of the ops before it unless one of them feeds it an operand
-    or writes its destination, in any table.  A filler's operands count as
-    real here, which can only hold a multiplication back.
+    issues ahead of the ops before it unless it shares with one of them, in
+    any table, a register that either op writes.  A filler's operands count
+    as real here, which can only hold a multiplication back.
     """
     left = list(range(len(tables["D"])))
     if not overlap:
@@ -143,8 +156,8 @@ def _issue_order(tables, overlap):
     while left:
         k = left[0]
         m = next((m for m in left if tables["D"][m].kind == "mul"), k)
-        if any(ops[j].dst in (ops[m].src1, ops[m].src2, ops[m].dst)
-               for ops in tables.values() for j in range(k, m)):
+        if any(_share_a_write(a, ops[m])
+               for ops in tables.values() for a in ops[k:m]):
             m = k
         order.append(m)
         left.remove(m)
@@ -158,6 +171,11 @@ class _Pending(NamedTuple):
     instance: int
     dst: str
     earliest: int   # first cycle the result may drive the bus
+
+    def transaction(self, block, role, *loads):
+        """The write-back from block, loading the value into loads too."""
+        return Transaction(block, (self.dst, *loads), self.op_index, role,
+                           self.instance)
 
 
 class _PatternState:
@@ -193,7 +211,8 @@ class _Scheduler:
         self.addsub = {}           # absolute cycle -> (add/sub state, op kind)
         self.last_step = {}        # block -> last compute cycle of its latest op
         self.barrier = 0           # latest first-partial-product cycle so far
-        self.window_starts = []    # pp_first of each instance's first multiplication
+        # (kind, instance, op index) -> first fetch cycle, or the copy's cycle
+        self.placed = {}
 
     # -- values and write-backs -----------------------------------------------
 
@@ -218,8 +237,8 @@ class _Scheduler:
                 return w
         return None
 
-    def _commit(self, kind, txs, instance):
-        """Put txs of instance on the bus and book their reads and writes."""
+    def _commit(self, kind, txs):
+        """Put txs on the bus and book their reads and writes."""
         st = self.ps[kind]
         st.bus.update(txs)
         for w, tx in txs.items():
@@ -227,7 +246,7 @@ class _Scheduler:
                 pend = st.pending.pop(tx.src)
                 st.ready[pend.dst] = (w + READABLE_LAG, pend.instance)
             elif tx.role == "copy":
-                st.ready[tx.dsts[0]] = (w + READABLE_LAG, instance)
+                st.ready[tx.dsts[0]] = (w + READABLE_LAG, tx.instance)
             # a filler holds back no write-back (see the module docstring)
             if (tx.src in REGISTER_NAMES
                     and tx.op_index not in self.fillers[kind]):
@@ -242,8 +261,7 @@ class _Scheduler:
         if w is None:
             raise ScheduleError(
                 f"{kind}: cannot write back {block} result by cycle {deadline}")
-        self._commit(kind, {w: Transaction(block, (pend.dst,), pend.op_index,
-                                           "writeback")}, pend.instance)
+        self._commit(kind, {w: pend.transaction(block, "writeback")})
 
     # -- operand fetches -------------------------------------------------------
 
@@ -268,7 +286,7 @@ class _Scheduler:
                 # f1 + READABLE_LAG, this cycle
                 role = ("fetch2" if txs[f1].role == "writeback+load"
                         else "latch2")
-                txs[c] = Transaction(src, (receiver,), op.index, role)
+                txs[c] = Transaction(src, (receiver,), op.index, role, instance)
                 continue
             # a filler operation reads whatever the register holds
             if src in REGISTER_NAMES and not dummy:
@@ -283,8 +301,7 @@ class _Scheduler:
                     pend = st.pending[producer]
                     w = self._wb_slot(kind, pend, c - READABLE_LAG, taken=txs)
                     if w is not None:
-                        txs[w] = Transaction(producer, (pend.dst,),
-                                             pend.op_index, "writeback")
+                        txs[w] = pend.transaction(producer, "writeback")
                     elif (self.t.overlap and c >= self._wb_min(kind, pend)
                           and (receiver == MULT
                                or (role == "fetch1" and producer == MULT))):
@@ -292,12 +309,12 @@ class _Scheduler:
                         # write-back; the multiplier's ports may take any
                         # result in flight, the add/sub unit's first port
                         # only a product, a copy none (two register receivers)
-                        txs[c] = Transaction(producer, (pend.dst, receiver),
-                                             pend.op_index, "writeback+load")
+                        txs[c] = pend.transaction(producer, "writeback+load",
+                                                  receiver)
                         continue
                     else:
                         return None
-            txs[c] = Transaction(src, (receiver,), op.index, role)
+            txs[c] = Transaction(src, (receiver,), op.index, role, instance)
         return txs
 
     # -- op placement ----------------------------------------------------------
@@ -306,7 +323,7 @@ class _Scheduler:
         """Commit both plans at the first cycle c from lo where both exist.
 
         plan(kind, op, c) gives the transactions of op placed at cycle c, or
-        None.  Returns c.
+        None.  Records c in placed and returns it.
         """
         for c in range(lo, lo + 4000):
             plans = {}
@@ -316,7 +333,8 @@ class _Scheduler:
                     break
             else:
                 for kind, txs in plans.items():
-                    self._commit(kind, txs, instance)
+                    self._commit(kind, txs)
+                    self.placed[kind, instance, ops[kind].index] = c
                 return c
         raise ScheduleError(f"no slot for {what}")
 
@@ -343,8 +361,11 @@ class _Scheduler:
         first, last = f1 + 2, f1 + 1 + steps
         earliest = last + out + (self.t.mult_wb_lag if block == MULT else 0)
         for kind, op in ops.items():
-            # the previous result must leave the unit before this one lands
-            self._flush(kind, block, last)
+            # the unit's previous result, and an older one bound for the same
+            # register, must leave before this one lands
+            for b, pend in list(self.ps[kind].pending.items()):
+                if b == block or pend.dst == op.dst:
+                    self._flush(kind, b, last)
             self.ps[kind].pending[block] = _Pending(op.index, instance, op.dst,
                                                     earliest)
         if block == MULT:
@@ -353,8 +374,6 @@ class _Scheduler:
             for c, state in ((f1, "load1"), (f1 + 1, "load2"), (last + 1, "out")):
                 self.states.setdefault(c, state)
             self.barrier = first
-            if ops["D"].index == 1:
-                self.window_starts.append(first)
         else:
             # the next op's first load may take over the store cycle
             self.addsub.update(
@@ -366,10 +385,20 @@ class _Scheduler:
     def _schedule_copy(self, instance, ops):
         """Place one register copy of each pattern in a single bus cycle."""
         def plan(kind, op, c):
+            st = self.ps[kind]
             # the copy must not overwrite its destination before it is read
-            if c > self.ps[kind].last_read[op.dst]:
-                return self._plan(kind, instance, op, c, op.dst)
-            return None
+            if c <= st.last_read[op.dst]:
+                return None
+            txs = self._plan(kind, instance, op, c, op.dst)
+            # nor land before an older result bound for it: the unit writes
+            # that back first, as _plan does for a source
+            for block, pend in st.pending.items():
+                if txs is not None and pend.dst == op.dst != op.src1:
+                    w = self._wb_slot(kind, pend, c - 1, taken=txs)
+                    if w is None:
+                        return None
+                    txs[w] = pend.transaction(block, "writeback")
+            return txs
 
         self._place(self.barrier + 1, instance, ops, plan,
                     f"copy op {ops['D'].index}")
@@ -387,7 +416,9 @@ class _Scheduler:
 
     def windows(self):
         """The steady-state PatternSchedule of each table, in table order."""
-        starts = self.run(8).window_starts
+        placed = self.run(8).placed
+        # a window opens on op 1's first partial product, after two fetches
+        starts = [placed["D", n, 1] + 2 for n in range(8)]
         periods = [b - a for a, b in zip(starts, starts[1:])]
         if len(periods) < 3 or periods[-1] != periods[-2]:
             raise ScheduleError(

@@ -13,9 +13,9 @@ import pytest
 from scipy import stats
 
 from atomspa.field import get_curve
-from atomspa.atoms import (AffinePoint, REGISTER_NAMES, k_mul,
+from atomspa.atoms import (AffinePoint, PATTERNS, REGISTER_NAMES, k_mul,
                            recover_scalar, scalar_for_pattern_counts)
-from atomspa.sched import (ADDSUB, MULT, Timing, addressing_diff,
+from atomspa.sched import (ADDSUB, MULT, Timing, _Scheduler, addressing_diff,
                            build_schedules, mult_block_state)
 from atomspa import leakage
 from atomspa.leakage import (ADDRESS_BITS, DEFAULT_ADDRESS_CODES,
@@ -314,6 +314,26 @@ def test_level_model_predicts_the_attacks_leaking_cycles(schedulable_grid):
             cycles = set(np.flatnonzero(leaks) + 1)
             assert len(cycles) == 53
             assert DIFF_CYCLES < cycles
+
+
+def test_window_edges_carry_the_neighbouring_patterns_ops():
+    # at the default timing, cycles 1-4 of a window carry the previous
+    # pattern's op 19 write-back and op 21, and cycles 108-109 the next
+    # pattern's op 1 fetches; simulate_trace renders all six with the
+    # window's own kind, and all six leak
+    sch = _Scheduler(Timing(), PATTERNS).run(8)
+    start = sch.placed["D", 5, 1] + 2  # the window windows() takes
+    for kind in PATTERNS:
+        bus = sch.ps[kind].bus
+        owners = {c - start + 1: (bus[c].instance - 5, bus[c].op_index)
+                  for c in range(start, start + 109)
+                  if c in bus and bus[c].instance != 5}
+        assert owners == {1: (-1, 19), 2: (-1, 21), 3: (-1, 21),
+                          4: (-1, 21), 108: (1, 1), 109: (1, 1)}, kind
+    leaking = set(np.flatnonzero(_leaks(window_levels(D, A, params()))) + 1)
+    assert {1, 2, 3, 108, 109} <= DIFF_CYCLES
+    assert 4 not in DIFF_CYCLES
+    assert {1, 2, 3, 4, 108, 109} <= leaking
 
 
 def _name_changes(states):

@@ -10,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, DOUBLE_PATTERN, EXT_QX, EXT_QY,
-                           PATTERNS, REGISTER_NAMES, fresh_registers,
+                           PATTERNS, REGISTER_NAMES, fresh_registers, k_mul,
                            reference_k_mul, run_pattern, to_affine)
 from atomspa.sched import (MULT, ScheduleError, Timing, Transaction,
                            _Scheduler, _fillers, _first_access, _issue_order,
                            addressing_diff, build_schedules)
 
+P256 = get_curve("P-256")
+STATE = ("X1", "X2", "X3", "Z1", "Z2")
+_ARITH = {"mul": P256.field.mul, "add": P256.field.add,
+          "sub": P256.field.sub, "copy": lambda a: a}
 D_SCHED, A_SCHED = build_schedules()
 DIFF = addressing_diff(D_SCHED, A_SCHED)
 DIFF_CYCLES = {c for c, _ in DIFF}
@@ -237,9 +241,9 @@ def _tamper_with_run(monkeypatch, tamper):
 def test_stray_bus_transaction_breaks_periodicity(monkeypatch):
     def stray(sch):
         bus = sch.ps["A"].bus
-        lo, hi = sch.window_starts[-2:]
+        lo, hi = (sch.placed["D", n, 1] for n in (6, 7))
         c = next(c for c in range(lo, hi) if c not in bus)
-        bus[c] = Transaction("X1", ("R0",), 1, "fetch1")
+        bus[c] = Transaction("X1", ("R0",), 1, "fetch1", 6)
 
     _tamper_with_run(monkeypatch, stray)
     with pytest.raises(ScheduleError, match="periodic"):
@@ -248,7 +252,7 @@ def test_stray_bus_transaction_breaks_periodicity(monkeypatch):
 
 def test_uneven_window_starts_are_no_steady_state(monkeypatch):
     def shift(sch):
-        sch.window_starts[-1] += 1
+        sch.placed["D", 7, 1] += 1
 
     _tamper_with_run(monkeypatch, shift)
     with pytest.raises(ScheduleError, match="steady state"):
@@ -312,7 +316,7 @@ def test_misaligned_pair_is_refused():
 
 
 def test_schedule_dataflow_matches_repeated_doubling(schedulable_grid):
-    """Bus-level replay of a doubling-only stream reproduces 2^n * G.
+    """Bus-level replay of a doubling-only run reproduces 2^n * G.
 
     Checked over every schedulable config of the timing grid: both
     multiplier plans, overlap on and off, and multiplier write-back lags
@@ -325,8 +329,7 @@ def test_schedule_dataflow_matches_repeated_doubling(schedulable_grid):
     final point, so this exercises the schedule's dependency handling,
     including port-forwarded loads and the silent repeat-fetch latches.
     """
-    curve = get_curve("P-256")
-    g = AffinePoint(curve.gx, curve.gy)
+    g = AffinePoint(P256.gx, P256.gy)
     for timing, d, a in schedulable_grid:
         assert [e.mult_state for e in d.events] == \
             [e.mult_state for e in a.events], timing
@@ -335,13 +338,14 @@ def test_schedule_dataflow_matches_repeated_doubling(schedulable_grid):
         for ev in d.events + a.events:
             regs = [r for r in ev.dst_names if r in REGISTER_NAMES]
             assert len(regs) <= 1, (timing, ev)
-        got = to_affine(_replay(timing, "D")[0], curve)
-        want = reference_k_mul(1 << (REPLAYED - 1), g, curve)
+        got = to_affine(_replay(timing, PATTERNS, "DDDD",
+                                fresh_registers(g)), P256)
+        want = reference_k_mul(1 << 4, g, P256)
         assert (got.x, got.y) == (want.x, want.y), timing
 
 
 def test_schedule_dataflow_matches_repeated_additions(schedulable_grid):
-    """Bus-level replay of an addition-only stream matches run_pattern.
+    """Bus-level replay of an addition-only run matches run_pattern.
 
     The addition pattern adds the filler operations, which read whatever
     their registers hold and whose results are dead, and the external
@@ -349,150 +353,124 @@ def test_schedule_dataflow_matches_repeated_additions(schedulable_grid):
     point registers must equal those of the same number of run_pattern("A")
     calls on the same input.
     """
-    curve = get_curve("P-256")
+    start = _random_registers()
+    q = AffinePoint(start.pop(EXT_QX), start.pop(EXT_QY))
+    want = start
+    for _ in range(4):
+        want = run_pattern("A", want, P256, q)
     for timing, _d, _a in schedulable_grid:
-        got, (want, q) = _replay(timing, "A")
-        for _ in range(REPLAYED - 1):
-            want = run_pattern("A", want, curve, q)
-        for reg in ("X1", "X2", "X3", "Z1", "Z2"):
+        got = _replay(timing, PATTERNS, "AAAA", _random_registers())
+        for reg in STATE:
             assert got[reg] == want[reg], (timing, reg)
 
 
-# instances scheduled per replay; all but the last are checked
-REPLAYED = 5
+def test_k_mul_run_replays_on_the_timing_grid(schedulable_grid):
+    # the run joins the windows as a trace does: D after D, A after D and
+    # D after A, so each pattern's tail meets the other kind's head
+    g = AffinePoint(P256.gx, P256.gy)
+    want, seq = k_mul(0b1011, g, P256)
+    seq = "".join(seq)
+    assert seq == "DDADA"
+    start = dict(fresh_registers(g), **{EXT_QX: g.x, EXT_QY: g.y})
+    for timing, _d, _a in schedulable_grid:
+        got = to_affine(_check_replay(timing, PATTERNS, seq, start), P256)
+        assert (got.x, got.y) == (want.x, want.y), timing
 
 
-class _RecordingScheduler(_Scheduler):
-    """A scheduler that notes where each op of each instance was placed:
-    fetches lists (instance, op_index, f1) of the unit ops, which fetch
-    their operands at f1 and f1 + 1, and copies (instance, op_index, cycle)
-    of the register copies."""
-
-    def __init__(self, timing, tables):
-        super().__init__(timing, tables)
-        self.fetches = []
-        self.copies = []
-
-    def _schedule_unit(self, block, instance, ops):
-        super()._schedule_unit(block, instance, ops)
-        # the unit computes for its steps right after its two fetch cycles
-        f1 = self.last_step[block] - 1 - self.steps[block]
-        self.fetches.append((instance, ops["D"].index, f1))
-
-    def _schedule_copy(self, instance, ops):
-        before = set(self.ps["D"].bus)
-        super()._schedule_copy(instance, ops)
-        # the same plan may write the copy's source back first
-        bus = self.ps["D"].bus
-        (cycle,) = (c for c in set(bus) - before if bus[c].role == "copy")
-        self.copies.append((instance, ops["D"].index, cycle))
+def _random_registers():
+    """Seeded random values of the nine registers and the two ports; the
+    ports' addend is off the curve, which run_pattern does not check."""
+    rng = random.Random(7)
+    return {r: rng.randrange(P256.field.p)
+            for r in (*REGISTER_NAMES, EXT_QX, EXT_QY)}
 
 
-def _replay(timing, kind, tables=PATTERNS):
-    """Replay tables[kind] on the bus of a REPLAYED-instance schedule.
+def _replay(timing, tables, seq, regs):
+    """The register file after the run seq (a string of kinds) from regs
+    (ports included), replayed from the scheduler's bus transactions.
 
-    Returns the register file once every op of the first REPLAYED - 1
-    instances has landed, and the (registers, addend) it started from.
-    Doublings start from G; additions from seeded random registers and a
-    random affine addend (run_pattern does not check its input).
+    Pattern i of the run is instance i of kind seq[i]; one more instance is
+    scheduled, so every result of the run lands.  An op captures the bus
+    values of its fetch cycles, the cycle placed records and the next (a
+    copy only the first), and its result lands at its write-back.
     """
-    curve = get_curve("P-256")
-    f = curve.field
-    if kind == "D":
-        regs = fresh_registers(AffinePoint(curve.gx, curve.gy))
-        q = None
-    else:
-        rng = random.Random(7)
-        regs = {r: rng.randrange(f.p) for r in REGISTER_NAMES}
-        q = AffinePoint(rng.randrange(f.p), rng.randrange(f.p))
-    start = (dict(regs), q)
-    ext = {EXT_QX: q.x, EXT_QY: q.y} if q else {}
-    sch = _RecordingScheduler(timing, tables).run(REPLAYED)
-    bus = sch.ps[kind].bus
-    ops = {op.index: op for op in tables[kind]}
-
-    # per-instance fetch slots: where each op captures its two operands
-    fetch_owner = {}
-    for inst, idx, f1 in sch.fetches:
-        fetch_owner[f1] = fetch_owner[f1 + 1] = (inst, idx)
-
-    # a block holds one pending result, so each op's write-backs land in
-    # instance order: the k-th write-back of op i belongs to instance k
-    wb_owner = {}
-    drained = {}
-    landed = {(inst, idx): c for inst, idx, c in sch.copies}
-    for cyc in sorted(bus):
-        idx = bus[cyc].op_index
-        if bus[cyc].role.startswith("writeback"):
-            key = (drained.get(idx, 0), idx)
-            drained[idx] = key[0] + 1
-            wb_owner[cyc] = key
-            landed[key] = cyc
-    # the register file holds the state after instance n once every op of
-    # instance n landed
-    last = REPLAYED - 2
-    cutoff = max(landed[(last, op.index)] for op in tables[kind])
-
-    captured = {}
-    snapshot = None
-
-    def result_of(key):
-        op = ops[key[1]]
-        a, b = captured[key]
-        if op.kind == "mul":
-            return f.mul(a, b)
-        if op.kind == "add":
-            return f.add(a, b)
-        return f.sub(a, b)
-
-    for cyc in sorted(bus):
-        if snapshot is None and cyc > cutoff:
-            snapshot = dict(regs)
-        tx = bus[cyc]
-        op = ops[tx.op_index]
-        if tx.role == "copy":
-            regs[op.dst] = regs[tx.src]
-            continue
-        if cyc in wb_owner:
-            key = wb_owner[cyc]
-            assert len(captured[key]) == 2, f"{timing} {key} incomplete operands"
-            value = result_of(key)
+    sch = _Scheduler(timing, tables).run(len(seq) + 1)
+    run = dict(enumerate(seq))
+    ops = {kind: {op.index: op for op in table}
+           for kind, table in tables.items()}
+    bus, reader = {}, {}
+    for (kind, n, i), c in sch.placed.items():
+        if run.get(n) == kind:
+            width = 1 if ops[kind][i].kind == "copy" else 2
+            reader.update((f, (n, i)) for f in range(c, c + width))
+    for kind in tables:
+        for c, tx in sch.ps[kind].bus.items():
+            if run.get(tx.instance) == kind:
+                assert c not in bus, f"{timing} {seq}: two drivers in {c}"
+                bus[c] = ops[kind][tx.op_index], tx
+    regs = dict(regs)
+    operands = {}
+    for c in sorted(bus):
+        op, tx = bus[c]
+        if tx.role.startswith("writeback"):
+            value = _ARITH[op.kind](*operands.pop((tx.instance, op.index)))
             regs[op.dst] = value
-            bus_value = value
-        else:  # fetch or silent latch: the register or port drives the bus
-            bus_value = ext[tx.src] if tx.src in ext else regs[tx.src]
-        if cyc in fetch_owner:
-            captured.setdefault(fetch_owner[cyc], []).append(bus_value)
-    return snapshot, start
-
-
-def _in_order(ops, start, times):
-    """The register file after times runs of ops in table order from
-    start, the (registers, addend) _replay returns."""
-    f = get_curve("P-256").field
-    regs, q = start
-    regs = dict(regs, **({EXT_QX: q.x, EXT_QY: q.y} if q else {}))
-    arith = {"mul": f.mul, "add": f.add, "sub": f.sub}
-    for _ in range(times):
-        for op in ops:
-            regs[op.dst] = (regs[op.src1] if op.kind == "copy"
-                            else arith[op.kind](regs[op.src1], regs[op.src2]))
+        else:  # a register or a port drives the bus
+            value = regs[tx.src]
+        if c in reader:
+            operands.setdefault(reader[c], []).append(value)
+        if tx.role == "copy":
+            regs[op.dst] = value
     return regs
 
 
-def _check_replay(timing, tables):
-    """Both tables replay on the bus as they execute in order."""
-    for kind, ops in tables.items():
-        got, start = _replay(timing, kind, tables)
-        want = _in_order(ops, start, REPLAYED - 1)
-        for reg in ("X1", "X2", "X3", "Z1", "Z2"):
-            assert got[reg] == want[reg], (timing, kind, reg)
+def _in_order(tables, seq, regs):
+    """The register file after the run seq from regs, in table order."""
+    regs = dict(regs)
+    for kind in seq:
+        for op in tables[kind]:
+            regs[op.dst] = _ARITH[op.kind](
+                *(regs[s] for s in (op.src1, op.src2) if s))
+    return regs
+
+
+def _check_replay(timing, tables, seq, regs):
+    """The run replays on the bus as it executes in order; returns the
+    replayed register file."""
+    got = _replay(timing, tables, seq, regs)
+    want = _in_order(tables, seq, regs)
+    for reg in STATE:
+        assert got[reg] == want[reg], (timing, seq, reg)
+    return got
+
+
+def _check_one_kind_runs(timing, tables):
+    """Four patterns of each table replay in order from random registers."""
+    for kind in tables:
+        _check_replay(timing, tables, kind * 4, _random_registers())
+
+
+def _with(ops, index, **fields):
+    """ops with the named fields of op index replaced."""
+    return tuple(replace(op, **fields) if op.index == index else op
+                 for op in ops)
+
+
+def _doubling_with(index, **fields):
+    """The reference pair with one op of the doubling changed."""
+    return {"D": _with(DOUBLE_PATTERN, index, **fields), "A": PATTERNS["A"]}
 
 
 # the doubling whose copy takes op 19's product, still in the multiplier
-STALE_COPY = {"D": tuple(replace(op, src1="X2") if op.kind == "copy" else op
-                         for op in DOUBLE_PATTERN),
-              "A": PATTERNS["A"]}
+STALE_COPY = _doubling_with(20, src1="X2")
+# op 5 as add X2 <- R3 + Z1 reads R3 before op 6 writes it
+READ_BEFORE_MUL = _doubling_with(5, src1="R3")
+# op 20 as copy X2 <- R3 overwrites op 19's product, still in the multiplier
+COPY_OVER_PRODUCT = _doubling_with(20, dst="X2")
+# op 2 as add R0 <- X2 + X2 overwrites op 1's square, still in the multiplier
+SUM_OVER_SQUARE = _doubling_with(2, dst="R0")
+# op 20 as copy X2 <- X2 reads op 19's product, which lands once, before it
+COPY_ONTO_ITSELF = _doubling_with(20, src1="X2", dst="X2")
 
 
 THREE_TIMINGS = pytest.mark.parametrize("timing", [
@@ -507,7 +485,7 @@ THREE_TIMINGS = pytest.mark.parametrize("timing", [
     {"D": DOUBLE_PATTERN, "A": _swapped(PATTERNS["A"])},
 ], ids=["stale-copy", "doubling-twice", "swapped-addition"])
 def test_aligned_pair_replays_in_order(timing, tables):
-    _check_replay(timing, tables)
+    _check_one_kind_runs(timing, tables)
 
 
 @THREE_TIMINGS
@@ -532,4 +510,48 @@ def test_operand_swapped_pairs_replay_in_order(swaps, timing):
     tables = {kind: tuple(replace(op, src1=op.src2, src2=op.src1)
                           if op.index in swaps[kind] else op for op in ops)
               for kind, ops in PATTERNS.items()}
-    _check_replay(timing, tables)
+    _check_one_kind_runs(timing, tables)
+
+
+def test_issue_order_keeps_a_read_ahead_of_the_write():
+    # op 6 writes R3, which this doubling's op 5 reads: op 6 stays behind
+    indices = [DOUBLE_PATTERN[pos].index
+               for pos in _issue_order(READ_BEFORE_MUL, True)]
+    assert indices == list(range(1, 22))
+
+
+@THREE_TIMINGS
+@pytest.mark.parametrize("tables", [READ_BEFORE_MUL, COPY_OVER_PRODUCT,
+                                    COPY_ONTO_ITSELF],
+                         ids=["read-before-mul", "copy-over-product",
+                              "copy-onto-itself"])
+def test_hazard_pairs_replay_in_order(timing, tables):
+    _check_one_kind_runs(timing, tables)
+
+
+@THREE_TIMINGS
+def test_a_result_never_lands_under_an_older_one(timing):
+    # op 1's square, bound for R0 too, cannot leave the multiplier before
+    # op 2's sum is computed, so the pair is refused
+    with pytest.raises(ScheduleError, match="cannot write back MULT result"):
+        _Scheduler(timing, SUM_OVER_SQUARE).run(2)
+
+
+# every single-register mutation of either table: (kind, op index, field,
+# register), 994 in all
+_MUTATIONS = [(kind, op.index, field, reg)
+              for kind, ops in PATTERNS.items() for op in ops
+              for field in ("dst", "src1", "src2") if getattr(op, field)
+              for reg in REGISTER_NAMES if reg != getattr(op, field)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mutation=st.sampled_from(_MUTATIONS))
+def test_single_register_mutations_replay_in_order_or_are_refused(mutation):
+    kind, index, field, reg = mutation
+    tables = dict(PATTERNS, **{kind: _with(PATTERNS[kind], index,
+                                           **{field: reg})})
+    try:
+        _check_one_kind_runs(Timing(), tables)
+    except ScheduleError:
+        pass
