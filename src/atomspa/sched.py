@@ -8,7 +8,8 @@ its segment plan (nine for karatsuba4, sixteen for classical); operand fetch
 for the next product may overlap the last two partial products of the
 current one, and a finished product may be written back while the next one
 is already computing.  The adder/subtractor takes two fetch cycles plus one
-processing cycle.
+processing cycle.  Each unit's compute steps, output cycles and write-back
+lag live in one table, _Scheduler.units.
 
 Both atomic patterns, the doubling D and the addition A, must exhibit the
 identical block-state sequence, so both are placed together on one
@@ -25,9 +26,12 @@ latches the value during its producer's write-back (writeback+load), the
 second port fetches the register in the next cycle; otherwise the register
 keeps driving the bus and the second port latches silently (latch2).
 A register copy takes one bus cycle and reads its source by the fetch
-rule: a source still held in a unit is written back first.  Results bound
-for one register land in issue order: an older one still held in a unit
-is written back before a unit's newer result or a copy lands there.
+rule: a source still held in a unit is written back first.  Every register
+write (a unit's write-back, a forwarded load, a copy) takes its cycle from
+one rule, _Scheduler._land: not before the result's earliest cycle, after
+the register's last read, after any older result bound for that register,
+on a free bus cycle; an older result still held in a unit is written back
+first, so results bound for one register land in issue order.
 A filler is an op whose result the rest of its own pattern overwrites
 before reading it (addition ops 2, 5 and 8, as _fillers finds them); it
 reads whatever its registers hold, so it waits for no operand and holds
@@ -202,10 +206,13 @@ class _Scheduler:
         self.tables = tables
         self.fillers = {kind: _fillers(ops) for kind, ops in tables.items()}
         self.order = _issue_order(tables, timing.overlap)
-        # a unit computes for this many cycles after its two fetch cycles;
-        # a product then leaves through one output cycle
-        self.steps = {MULT: mul_schedule(timing.mul_plan).step_count,
-                      ADDSUB: 1}
+        # unit -> (name, steps, out, lag): the unit computes for steps
+        # cycles after its two fetch cycles, its result leaves through out
+        # output cycles and may drive the bus lag cycles after them
+        self.units = {MULT: ("multiplication",
+                             mul_schedule(timing.mul_plan).step_count, 1,
+                             timing.mult_wb_lag),
+                      ADDSUB: ("add/sub", 1, 0, 0)}
         self.ps = {k: _PatternState() for k in tables}
         self.states = {}           # absolute cycle -> multiplier state
         self.addsub = {}           # absolute cycle -> (add/sub state, op kind)
@@ -225,15 +232,26 @@ class _Scheduler:
             return max(p.ready[reg][0] for p in self.ps.values())
         return cycle
 
-    def _wb_min(self, kind, pend):
-        # the write-back must not clobber a value still to be read
-        return max(pend.earliest, self.ps[kind].last_read[pend.dst] + 1)
+    def _land(self, kind, dst, earliest, hi, txs, unit=None):
+        """First cycle from earliest to hi where a result may land in dst.
 
-    def _wb_slot(self, kind, pend, hi, taken=()):
-        """First free cycle up to hi where pend may be written back."""
-        bus = self.ps[kind].bus
-        for w in range(self._wb_min(kind, pend), hi + 1):
-            if w not in bus and w not in taken:
+        The one write rule, for a write-back from unit, a forwarded load and
+        a copy: the result lands after dst's last read, after any older
+        result bound for dst, and on a cycle that neither the bus nor txs
+        holds.  An older result still held in another unit is written back
+        first, into txs, unless txs already writes it back.  Returns None
+        when no such cycle exists.
+        """
+        st = self.ps[kind]
+        for block, pend in st.pending.items():
+            if (pend.dst == dst and block != unit
+                    and all(tx.src != block for tx in txs.values())):
+                w = self._land(kind, dst, pend.earliest, hi - 1, txs, block)
+                if w is None:
+                    return None
+                txs[w] = pend.transaction(block, "writeback")
+        for w in range(max(earliest, st.last_read[dst] + 1), hi + 1):
+            if w not in st.bus and w not in txs:
                 return w
         return None
 
@@ -252,17 +270,6 @@ class _Scheduler:
                     and tx.op_index not in self.fillers[kind]):
                 st.last_read[tx.src] = max(st.last_read[tx.src], w)
 
-    def _flush(self, kind, block, deadline):
-        """Write back block's pending result by deadline, before it is replaced."""
-        pend = self.ps[kind].pending.get(block)
-        if pend is None:
-            return
-        w = self._wb_slot(kind, pend, deadline)
-        if w is None:
-            raise ScheduleError(
-                f"{kind}: cannot write back {block} result by cycle {deadline}")
-        self._commit(kind, {w: pend.transaction(block, "writeback")})
-
     # -- operand fetches -------------------------------------------------------
 
     def _plan(self, kind, instance, op, f1, receiver):
@@ -270,7 +277,8 @@ class _Scheduler:
 
         Returns cycle -> Transaction, including the write-backs and
         forwarded loads the fetches need, or None when a fetch cycle is
-        busy or an operand cannot be ready in time.
+        busy, an operand cannot be ready in time or, for a copy, the write
+        rule of _land refuses its destination.
         """
         st = self.ps[kind]
         roles = ("copy",) if op.kind == "copy" else ("fetch1", "fetch2")
@@ -298,37 +306,44 @@ class _Scheduler:
                     if c < self._ready(kind, src, instance):
                         return None
                 else:
+                    # the receiving port may latch the value during its
+                    # write-back, in cycle c; the multiplier's ports may take
+                    # any result in flight, the add/sub unit's first port
+                    # only a product, a copy none (two register receivers)
+                    forward = self.t.overlap and (
+                        receiver == MULT
+                        or (role == "fetch1" and producer == MULT))
                     pend = st.pending[producer]
-                    w = self._wb_slot(kind, pend, c - READABLE_LAG, taken=txs)
-                    if w is not None:
-                        txs[w] = pend.transaction(producer, "writeback")
-                    elif (self.t.overlap and c >= self._wb_min(kind, pend)
-                          and (receiver == MULT
-                               or (role == "fetch1" and producer == MULT))):
-                        # the receiving port latches the value during its
-                        # write-back; the multiplier's ports may take any
-                        # result in flight, the add/sub unit's first port
-                        # only a product, a copy none (two register receivers)
+                    w = self._land(kind, src, pend.earliest,
+                                   c if forward else c - READABLE_LAG, txs,
+                                   producer)
+                    if w is None:
+                        return None
+                    if w == c:
                         txs[c] = pend.transaction(producer, "writeback+load",
                                                   receiver)
                         continue
-                    else:
-                        return None
+                    txs[w] = pend.transaction(producer, "writeback")
+            # a copy writes its destination in its own cycle
+            if (op.kind == "copy"
+                    and self._land(kind, op.dst, c, c, txs) is None):
+                return None
             txs[c] = Transaction(src, (receiver,), op.index, role, instance)
         return txs
 
     # -- op placement ----------------------------------------------------------
 
-    def _place(self, lo, instance, ops, plan, what):
+    def _place(self, lo, instance, ops, receiver, what):
         """Commit both plans at the first cycle c from lo where both exist.
 
-        plan(kind, op, c) gives the transactions of op placed at cycle c, or
-        None.  Records c in placed and returns it.
+        Each op's operands go to receiver, a copy's (receiver None) to its
+        destination.  Records c in placed and returns it.
         """
         for c in range(lo, lo + 4000):
             plans = {}
             for kind, op in ops.items():
-                plans[kind] = plan(kind, op, c)
+                plans[kind] = self._plan(kind, instance, op, c,
+                                         receiver or op.dst)
                 if plans[kind] is None:
                     break
             else:
@@ -340,8 +355,7 @@ class _Scheduler:
 
     def _schedule_unit(self, block, instance, ops):
         """Place one op of each pattern (ops: kind -> op) on unit block."""
-        steps = self.steps[block]
-        out = 1 if block == MULT else 0
+        name, steps, out, lag = self.units[block]
         # like every op, issue only after earlier products started
         lo = self.barrier + 1
         if block in self.last_step:
@@ -351,23 +365,23 @@ class _Scheduler:
                 lo = max(lo, self.last_step[block] + 1 - min(2, steps))
             else:
                 lo = max(lo, self.last_step[block] + 1 + out)
-
-        def plan(kind, op, f1):
-            return self._plan(kind, instance, op, f1, block)
-
-        name = "multiplication" if block == MULT else "add/sub"
-        f1 = self._place(lo, instance, ops, plan,
+        f1 = self._place(lo, instance, ops, block,
                          f"{name} op {ops['D'].index}")
         first, last = f1 + 2, f1 + 1 + steps
-        earliest = last + out + (self.t.mult_wb_lag if block == MULT else 0)
         for kind, op in ops.items():
             # the unit's previous result, and an older one bound for the same
             # register, must leave before this one lands
-            for b, pend in list(self.ps[kind].pending.items()):
+            st, txs = self.ps[kind], {}
+            for b, pend in st.pending.items():
                 if b == block or pend.dst == op.dst:
-                    self._flush(kind, b, last)
-            self.ps[kind].pending[block] = _Pending(op.index, instance, op.dst,
-                                                    earliest)
+                    w = self._land(kind, pend.dst, pend.earliest, last, txs, b)
+                    if w is None:
+                        raise ScheduleError(f"{kind}: cannot write back {b} "
+                                            f"result by cycle {last}")
+                    txs[w] = pend.transaction(b, "writeback")
+            self._commit(kind, txs)
+            st.pending[block] = _Pending(op.index, instance, op.dst,
+                                         last + out + lag)
         if block == MULT:
             for i, c in enumerate(range(first, last + 1), start=1):
                 self.states[c] = f"pp{i}"
@@ -382,33 +396,13 @@ class _Scheduler:
                                  (last, "store")))
         self.last_step[block] = last
 
-    def _schedule_copy(self, instance, ops):
-        """Place one register copy of each pattern in a single bus cycle."""
-        def plan(kind, op, c):
-            st = self.ps[kind]
-            # the copy must not overwrite its destination before it is read
-            if c <= st.last_read[op.dst]:
-                return None
-            txs = self._plan(kind, instance, op, c, op.dst)
-            # nor land before an older result bound for it: the unit writes
-            # that back first, as _plan does for a source
-            for block, pend in st.pending.items():
-                if txs is not None and pend.dst == op.dst != op.src1:
-                    w = self._wb_slot(kind, pend, c - 1, taken=txs)
-                    if w is None:
-                        return None
-                    txs[w] = pend.transaction(block, "writeback")
-            return txs
-
-        self._place(self.barrier + 1, instance, ops, plan,
-                    f"copy op {ops['D'].index}")
-
     def run(self, instances):
         for n in range(instances):
             for pos in self.order:
                 ops = {kind: table[pos] for kind, table in self.tables.items()}
                 if ops["D"].kind == "copy":
-                    self._schedule_copy(n, ops)
+                    self._place(self.barrier + 1, n, ops, None,
+                                f"copy op {ops['D'].index}")
                 else:
                     self._schedule_unit(
                         MULT if ops["D"].kind == "mul" else ADDSUB, n, ops)

@@ -555,3 +555,49 @@ def test_single_register_mutations_replay_in_order_or_are_refused(mutation):
         _check_one_kind_runs(Timing(), tables)
     except ScheduleError:
         pass
+
+
+def _mutated(mutation):
+    """The reference pair with one register name of one op changed."""
+    kind, index, field, reg = mutation
+    return dict(PATTERNS, **{kind: _with(PATTERNS[kind], index,
+                                         **{field: reg})})
+
+
+# the mutations that replay in order as one-kind runs but break as D/A runs
+# at Timing(): _Scheduler books each kind's bus against that kind's own
+# previous instance, never against the other kind's tail.  In the run DDADA
+# 19 of them put two drivers on the bus in one cycle (the first 19 here) and
+# 8 end with wrong registers; a mend of the D/A join flips these tests.
+D_A_JOIN_FAILURES = [
+    ("D", 1, "src1", "X2"), ("D", 1, "src2", "X2"), ("D", 21, "dst", "X3"),
+    ("A", 1, "src1", "X2"), ("A", 1, "src2", "X2"),
+    *(("A", 19, "dst", reg) for reg in ("X1", "X2", "Z1", "Z2", "R1")),
+    ("A", 21, "dst", "Z1"),
+    *(("A", 21, "src2", reg)
+      for reg in ("X1", "X2", "X3", "Z1", "Z2", "R1", "R2", "R3")),
+    ("D", 19, "dst", "Z1"),
+    *(("D", 21, "dst", reg) for reg in ("X1", "Z1", "Z2", "R1", "R2", "R3")),
+    ("A", 21, "dst", "X3"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the scheduler does not book the D/A join")
+@pytest.mark.parametrize("mutation", D_A_JOIN_FAILURES,
+                         ids=["-".join(map(str, m))
+                              for m in D_A_JOIN_FAILURES])
+def test_d_a_join_mutations_replay_in_order(mutation):
+    _check_replay(Timing(), _mutated(mutation), "DDADA", _random_registers())
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(mutation=st.sampled_from([m for m in _MUTATIONS
+                                 if m not in D_A_JOIN_FAILURES]))
+def test_other_mutations_replay_as_d_a_runs_or_are_refused(mutation):
+    try:
+        for seq in ("DDADA", "DADDADA", "DADADA"):
+            _check_replay(Timing(), _mutated(mutation), seq,
+                          _random_registers())
+    except ScheduleError:
+        pass

@@ -7,13 +7,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from atomspa.field import get_curve
 from atomspa.atoms import (AffinePoint, ScalarK, k_mul,
                            scalar_for_pattern_counts)
 from atomspa.sched import Timing, addressing_diff, build_schedules
-from atomspa.leakage import LeakageParams, Trace, simulate_trace
+from atomspa.leakage import (DEFAULT_ADDRESS_CODES, LeakageParams, Trace,
+                             simulate_trace)
 from atomspa.spa import (_blind_recovery, classify_matrix, correctness_curve,
                          mean_pattern, recover_scalar, run_attack, segment)
 
@@ -310,6 +311,41 @@ def test_every_toy61_scalar_with_an_addition_recovers(plan, overlap):
     assert all(s.value == k for k, s in got.items() if s is not None)
 
 
+def _toy61_unrecovered(d, a, params):
+    """The toy61 scalars in [2, n) that the attack reads nothing from, after
+    checking that it reads every other one back exactly."""
+    curve = get_curve("toy61")
+    g = AffinePoint(curve.gx, curve.gy)
+    got = {k: run_attack(simulate_trace(k_mul(k, g, curve)[1], d, a, params,
+                                        workers=1)).recovered_scalar
+           for k in range(2, curve.n)}
+    assert all(s.value == k for k, s in got.items() if s is not None)
+    return sorted(k for k, s in got.items() if s is None)
+
+
+def test_every_toy61_scalar_with_an_addition_recovers_at_the_largest_lags(
+        schedulable_grid):
+    # the domain above at each plan and overlap's largest schedulable
+    # write-back lag, where results wait longest; no two of the grid's 56
+    # schedule pairs have the same events, and all 52 with a lag take about
+    # 4 s on 2 vCPUs
+    largest = {(t.mul_plan, t.overlap): (t.mult_wb_lag, d, a)
+               for t, d, a in schedulable_grid}
+    assert [lag for lag, _d, _a in largest.values()] == [8, 11, 15, 18]
+    p = LeakageParams(sigma=0.0, samples_per_cycle=1)
+    for _lag, d, a in largest.values():
+        assert _toy61_unrecovered(d, a, p) == [2, 4, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_toy61_scalar_with_an_addition_recovers_under_any_table(seed):
+    # the domain holds under a seeded random injective address table too
+    codes = random.Random(seed).sample(range(64), len(DEFAULT_ADDRESS_CODES))
+    p = LeakageParams(sigma=0.0, samples_per_cycle=1,
+                      addresses=dict(zip(DEFAULT_ADDRESS_CODES, codes)))
+    assert _toy61_unrecovered(D, A, p) == [2, 4, 8, 16, 32, 64]
+
+
 def _outcome(trace):
     rep = run_attack(trace)
     return (rep.recovered_bits, rep.recovered_support, rep.best_sample,
@@ -327,6 +363,21 @@ def test_scaling_by_a_power_of_two_keeps_the_attack(k, alpha, sigma, seed,
     trace, _ = small_trace(k=k, sigma=sigma, alpha=alpha, seed=seed)
     scaled = Trace(trace.samples * np.float32(scale), trace.meta)
     assert _outcome(scaled) == _outcome(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 1 << 12), alpha=st.sampled_from([0.0, 1.0]),
+       sigma=st.sampled_from([0.0, 0.05, 1.0]),
+       seed=st.integers(0, 1 << 16), m=st.integers(-8, 8).filter(bool),
+       e=st.integers(0, 40))
+def test_an_exact_offset_keeps_the_attack(k, alpha, sigma, seed, m, e):
+    # adding c can round; where every shifted sample gives its sample back,
+    # x -> x + c moves every column and its mean threshold alike
+    trace, _ = small_trace(k=k, sigma=sigma, alpha=alpha, seed=seed)
+    c = np.float32(m * 2.0 ** -e)
+    shifted = trace.samples + c
+    assume(np.array_equal(shifted - c, trace.samples))
+    assert _outcome(Trace(shifted, trace.meta))[:3] == _outcome(trace)[:3]
 
 
 @pytest.mark.parametrize("sigma, support, best", [
