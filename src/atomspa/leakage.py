@@ -23,16 +23,17 @@ writes the doubling's product to X2.
 
 Noise is N(0, sigma^2), drawn by the Box-Muller transform and written in
 place into the trace.  Its uniforms are (w >> 8) * 2**-24 in float32, for
-the 32-bit halves w of the raw words of an SFC64 generator in the state
-that SFC64(SeedSequence([seed, pattern index])) starts from.  One numpy
-pass computes those states for all patterns at once (see _pattern_states)
-in place of a seeded generator per pattern.  The transform runs on blocks
-of BLOCK consecutive patterns, which the calling thread and, by default,
-one helper thread per further CPU take in turn, and applies the same
-float32 operations in the same order to every sample whatever the block or
-thread, so the trace is a pure function of its inputs, byte for byte, for
-any worker count.  The uniforms are multiples of 2**-24, so |noise| is
-capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of about 8e-9.
+the 32-bit halves w, low half first, of the raw words of one
+PCG64DXSM(seed) stream: with h = (samples_per_pattern + 1) // 2, pattern i
+takes words [i*h, (i+1)*h), whose first h halves give its radii and the
+next h its angles.  The transform runs on blocks of BLOCK consecutive
+patterns, which the calling thread and, by default, one helper thread per
+further CPU take in turn; a block's thread advances a generator of its own
+from the seeded state to the block's first word.  Every sample sees the
+same float32 operations in the same order whatever the block or thread, so
+the trace is a pure function of its inputs, byte for byte, for any worker
+count.  The uniforms are multiples of 2**-24, so |noise| is capped at
+sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of about 8e-9.
 Sigma 0, the idealized noiseless machine, takes the same render: every
 noise sample is then a signed zero, and a signed zero added to a level
 leaves the level, so each sample is its window's level exactly.
@@ -207,55 +208,6 @@ def window_levels(d_sched, a_sched, params):
     return out
 
 
-def _pattern_states(seed, n):
-    """The SFC64 states, one uint64 row of 4 per pattern index i < n, that
-    SFC64(SeedSequence([seed, i])) starts from, computed for all of them
-    at once.
-
-    This is numpy's seeding, step for step: the 32-bit words of seed and
-    then of i, zero-padded to the 4-word pool (no entropy list here is
-    longer), hashed into the pool and mixed across it, 6 words drawn from
-    the pool as 3 little-endian uint64s, and 12 rounds of SFC64 with the
-    counter set to 1.  The hash multipliers do not depend on the data, so
-    they advance as Python ints.
-    """
-    m32 = 0xFFFFFFFF
-    index = np.arange(n, dtype=np.uint64)
-    words = [seed & m32] + ([seed >> 32] if seed >> 32 else [])
-    zero = np.zeros(n, dtype=np.uint32)
-    entropy = [zero + np.uint32(w) for w in words] + [
-        (index & m32).astype(np.uint32), (index >> 32).astype(np.uint32),
-        zero, zero][: 4 - len(words)]
-    mult = 0x43B0D7E5
-
-    def hashmix(v):
-        nonlocal mult
-        v = v ^ np.uint32(mult)
-        mult = mult * 0x931E8875 & m32
-        v = v * np.uint32(mult)
-        return v ^ v >> 16
-
-    pool = [hashmix(w) for w in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v = (pool[dst] * np.uint32(0xCA01F9DD)
-                     - hashmix(pool[src]) * np.uint32(0x4973F715))
-                pool[dst] = v ^ v >> 16
-    mult = 0x8B51F9DD
-    out = []
-    for k in range(6):
-        v = pool[k % 4] ^ np.uint32(mult)
-        mult = mult * 0x58F38DED & m32
-        v = v * np.uint32(mult)
-        out.append((v ^ v >> 16).astype(np.uint64))
-    a, b, c = (out[k] | out[k + 1] << 32 for k in (0, 2, 4))
-    for counter in range(1, 13):
-        a, b, c = (b ^ b >> 11, c + (c << 3),
-                   (c << 24 | c >> 40) + (a + b + np.uint64(counter)))
-    return np.stack([a, b, c, zero + np.uint64(13)], axis=-1)
-
-
 def _check_memory(samples):
     """Refuse a trace that cannot fit in this machine's physical memory."""
     need = samples * np.dtype(TRACE_DTYPE).itemsize
@@ -303,7 +255,6 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     h = (spp + 1) // 2
     sigma = np.float32(params.sigma)
     two_pi = np.float32(2.0 * math.pi)
-    states = _pattern_states(params.seed, n)
 
     def render(start, u, gen):
         stop = min(start + BLOCK, n)
@@ -312,10 +263,9 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
         w = [window[(seq[i - 1] if i > 0 else seq[0], seq[i])]
              for i in range(start, stop)]
         u = u[: stop - start]
-        for row, i in zip(u, range(start, stop)):
-            gen.state = {"bit_generator": "SFC64",
-                         "state": {"state": states[i]},
-                         "has_uint32": 0, "uinteger": 0}
+        gen.state = seeded
+        gen.advance(start * h)  # to pattern start's first word
+        for row in u:
             words = gen.random_raw(h).view(np.uint32)
             words >>= 8
             row[:] = words  # below 2**24, so float32 holds each one exactly
@@ -348,10 +298,11 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(starts))
-    # one scratch block and one generator per thread, made here rather than
-    # in the threads; each generator is set to a pattern's state before use
+    # one scratch block and one seeded generator per thread, made here rather
+    # than in the threads; each block resets its thread's to the seeded state
     scratch = np.empty((workers, min(BLOCK, n), 2 * h), dtype=np.float32)
-    gens = [np.random.SFC64() for _ in range(workers)]
+    gens = [np.random.PCG64DXSM(params.seed) for _ in range(workers)]
+    seeded = gens[0].state
     if workers > 1:
         # the calling thread renders beside workers - 1 helpers
         with ThreadPoolExecutor(workers - 1) as pool:

@@ -142,23 +142,23 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
         "run/blind/attack_summary.txt":
             "3b97083611620127935fe4af056b9649a6ab10fb344d4f72f452dd8c080a7cb6",
         "run/report/attack_correctness.csv":
-            "783c8586008eaa5e8b4500689112e8072b8778751250797c24f20829613cccbe",
+            "b1017de0b5b03f4ba420d1c4f2d9ef7607b92b7f3f18b2b29285e483f8bdb738",
         "run/report/attack_correctness.svg":
-            "1cbb2cee59c3e027edc1903f35e21737099ce3cd7f8a44102fbbd2d44b564561",
+            "a7012cc82f9f1a0c4efaa1bcde4983c1d8ceee119b46ba9ac569a92b9f44379c",
         "run/report/attack_summary.txt":
             "f04d9e3b7da042e4eb2c68851467bb352c5f50e528d99ca3f4d27726a7795a35",
         "run/trace.bin":
-            "138f9471285aabefd113ad361d22f03af74b728d005bc5cf20407bc306edb6bc",
+            "f23c6bbb3277b1bdfaa61ba37925b5c7b0c9ddda960ca5f0facf566ae5b9d2ff",
         "run/trace.json":
             "c6b321928e6612ec3d7cf62c2f388dda4f4a436475cc6eb6ca7c06c6eb6ea086",
         "null/report/attack_correctness.csv":
-            "a11e6bf4317c0bdbcf32258f3d3b3dcfa6cf6907228d2a227a113803483641ed",
+            "8c796e3f29ff03e534f54bb1513b17544936537bbffa6a28dac04102e7509056",
         "null/report/attack_correctness.svg":
-            "12c0cf2dc6f29da352c5e44f212796b2a741d0da1d6adf5633e5bd61b3eb5225",
+            "b148ab90f499a842db3c0b3075c943b13f2b310d8697d57494904346415b9a83",
         "null/report/attack_summary.txt":
-            "b4d111e807fc45f661a428812a40e0e533b9535c7f852580b7affd6d7d865906",
+            "b79f00eb35b5372cf7ce135c111dabfa8623fdd777e88300662edb8c3be1685c",
         "null/trace.bin":
-            "ab584683f02fa476bc3d8f5780456f056bdfe474049420697c125ed2b94e9bdb",
+            "9843ce9bf5c036c1a8d8eea6ff3d3c7be76f45c2964ec834adb1ce51fa108cd5",
         "null/trace.json":
             "e573b60b369018db4ceec3a3a613ed9c4ee881d0b242804d30e3bbee1de1c733",
     }
@@ -172,7 +172,7 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
         "null simulate":
             "17dbf4cdb54cb9c949e9f55646b3c4b5f2fad0f17172418413187db6fddb6161",
         "null attack":
-            "0f1af803a5d68721de184d873c9435fbbbc88ae0e4b34864a3fa6564e3e3ccfd",
+            "509a92d5ed0fc23159dd6ac365966d9db5062851fcb1e3841d099dc7ea0847b9",
     }
 
 
