@@ -28,12 +28,14 @@ PCG64DXSM(seed) stream: with h = (samples_per_pattern + 1) // 2, pattern i
 takes words [i*h, (i+1)*h), whose first h halves give its radii and the
 next h its angles.  The transform runs on blocks of BLOCK consecutive
 patterns, which the calling thread and, by default, one helper thread per
-further CPU take in turn; a block's thread advances a generator of its own
-from the seeded state to the block's first word.  Every sample sees the
-same float32 operations in the same order whatever the block or thread, so
-the trace is a pure function of its inputs, byte for byte, for any worker
-count.  The uniforms are multiples of 2**-24, so |noise| is capped at
-sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of about 8e-9.
+further CPU take in turn, in increasing order, from one pool that starts no
+thread for a trace of one block.  Each thread makes its own scratch block
+and PCG64DXSM(seed) and only advances it forward, to each block's first
+word.  Every sample sees the same float32 operations in the same order
+whatever the block or thread, so the trace is a pure function of its
+inputs, byte for byte, for any worker count.  The uniforms are multiples
+of 2**-24, so |noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a
+tail mass of about 8e-9.
 Sigma 0, the idealized noiseless machine, takes the same render: every
 noise sample is then a signed zero, and a signed zero added to a level
 leaves the level, so each sample is its window's level exactly.
@@ -255,64 +257,54 @@ def simulate_trace(seq, d_sched, a_sched, params, workers=None):
     h = (spp + 1) // 2
     sigma = np.float32(params.sigma)
     two_pi = np.float32(2.0 * math.pi)
-
-    def render(start, u, gen):
-        stop = min(start + BLOCK, n)
-        out = total[start * spp : stop * spp].reshape(stop - start, spp)
-        # the first window starts from the line state its own kind leaves
-        w = [window[(seq[i - 1] if i > 0 else seq[0], seq[i])]
-             for i in range(start, stop)]
-        u = u[: stop - start]
-        gen.state = seeded
-        gen.advance(start * h)  # to pattern start's first word
-        for row in u:
-            words = gen.random_raw(h).view(np.uint32)
-            words >>= 8
-            row[:] = words  # below 2**24, so float32 holds each one exactly
-        u *= np.float32(2.0**-24)  # uniforms in [0, 1), 24 bits each
-        r, theta = u[:, :h], u[:, h:]
-        np.subtract(1, r, out=r)  # in (0, 1], so log never sees 0
-        np.log(r, out=r)
-        r *= np.float32(-2)
-        np.sqrt(r, out=r)
-        r *= sigma  # after the root, so sigma**2 cannot overflow
-        theta *= two_pi
-        lo, hi = out[:, :h], out[:, h:]
-        np.cos(theta, out=lo)
-        lo *= r
-        np.sin(theta[:, : spp - h], out=hi)
-        hi *= r[:, : spp - h]
-        for row, wi in zip(out, w):
-            row += wi
-
     starts = range(0, n, BLOCK)
     # every thread takes the next block start as it comes free, so a stalled
     # core holds back no more than the block it has; next() on the shared
-    # iterator is atomic under the GIL
+    # iterator is atomic under the GIL and hands the starts out in order
     blocks = iter(starts)
 
-    def drain(u, gen):
+    def drain():
+        # the starts a thread takes only increase, so gen only moves forward
+        scratch = np.empty((min(BLOCK, n), 2 * h), dtype=np.float32)
+        gen = np.random.PCG64DXSM(params.seed)
+        at = 0  # the pattern whose first word gen draws next
         for start in blocks:
-            render(start, u, gen)
+            stop = min(start + BLOCK, n)
+            gen.advance((start - at) * h)
+            at = stop
+            u = scratch[: stop - start]
+            for row in u:
+                words = gen.random_raw(h).view(np.uint32)
+                words >>= 8
+                row[:] = words  # below 2**24, so float32 holds each exactly
+            u *= np.float32(2.0**-24)  # uniforms in [0, 1), 24 bits each
+            r, theta = u[:, :h], u[:, h:]
+            np.subtract(1, r, out=r)  # in (0, 1], so log never sees 0
+            np.log(r, out=r)
+            r *= np.float32(-2)
+            np.sqrt(r, out=r)
+            r *= sigma  # after the root, so sigma**2 cannot overflow
+            theta *= two_pi
+            out = total[start * spp : stop * spp].reshape(stop - start, spp)
+            lo, hi = out[:, :h], out[:, h:]
+            np.cos(theta, out=lo)
+            lo *= r
+            np.sin(theta[:, : spp - h], out=hi)
+            hi *= r[:, : spp - h]
+            for i, row in enumerate(out, start):
+                # the first window starts from the line state its kind leaves
+                row += window[(seq[max(i - 1, 0)], seq[i])]
 
     if workers is None:
         workers = len(os.sched_getaffinity(0))
-    workers = min(workers, len(starts))
-    # one scratch block and one seeded generator per thread, made here rather
-    # than in the threads; each block resets its thread's to the seeded state
-    scratch = np.empty((workers, min(BLOCK, n), 2 * h), dtype=np.float32)
-    gens = [np.random.PCG64DXSM(params.seed) for _ in range(workers)]
-    seeded = gens[0].state
-    if workers > 1:
-        # the calling thread renders beside workers - 1 helpers
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain, *w)
-                       for w in zip(scratch[1:], gens[1:])]
-            drain(scratch[0], gens[0])
-        for f in helpers:
-            f.result()
-    else:
-        drain(scratch[0], gens[0])
+    # the calling thread drains beside the helpers; a pool starts a thread
+    # only for a submitted task, so a one-block trace starts none
+    helpers = min(workers, len(starts)) - 1
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    for f in futures:
+        f.result()
 
     meta = {
         "samples_per_cycle": params.samples_per_cycle,

@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,27 +174,48 @@ def test_zero_scale_noise_leaves_the_levels():
 def test_a_render_leaves_no_thread_behind(monkeypatch):
     seq = tuple(("DADDDA" * 4)[:19])
     p = params(sigma=0.2)
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     before = threading.active_count()
     simulate_trace(seq, D, A, p, workers=3)
     assert threading.active_count() == before
+    # the calling thread renders too, so 3 workers need at most 2 helpers
+    # for the 3 blocks of 19 patterns
+    assert 1 <= len(started) <= 2
 
-    # the calling thread renders too, so 3 workers need 2 helpers
-    sizes = []
-
-    def counted_pool(max_workers):
-        sizes.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
-
-    monkeypatch.setattr(leakage, "ThreadPoolExecutor", counted_pool)
-    simulate_trace(seq, D, A, p, workers=3)
-    assert sizes == [2]
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool for a trace of one block")
-
-    # one block of patterns renders inline, whatever the CPU count
-    monkeypatch.setattr(leakage, "ThreadPoolExecutor", no_pool)
+    # one block of patterns starts no thread, whatever the CPU count
+    started.clear()
     simulate_trace(seq[:8], D, A, p)
+    assert started == []
+
+
+def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    seq = tuple(("DADDDA" * 4)[:19])
+    p = params(sigma=0.2)
+    log = np.log
+    raised = threading.Event()
+
+    def failing_log(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raised.set()
+            raise RuntimeError("helper failed")
+        # the calling thread holds its first block until a helper has
+        # taken one and failed on it
+        raised.wait(5)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log", failing_log)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        simulate_trace(seq, D, A, p, workers=2)
+    assert raised.is_set()
+    assert threading.active_count() == before
 
 
 def test_trace_length_formula():
