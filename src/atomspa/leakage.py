@@ -33,9 +33,9 @@ thread for a trace of one block.  Each thread makes its own scratch block
 and PCG64DXSM(seed) and only advances it forward, to each block's first
 word.  Every sample sees the same float32 operations in the same order
 whatever the block or thread, so the trace is a pure function of its
-inputs, byte for byte, for any worker count.  The uniforms are multiples
-of 2**-24, so |noise| is capped at sqrt(-2 ln 2**-24) = 5.768 sigma, a
-tail mass of about 8e-9.
+inputs and of the numpy build and SIMD level, byte for byte, for any
+worker count.  The uniforms are multiples of 2**-24, so |noise| is capped
+at sqrt(-2 ln 2**-24) = 5.768 sigma, a tail mass of about 8e-9.
 Sigma 0, the idealized noiseless machine, takes the same render: every
 noise sample is then a signed zero, and a signed zero added to a level
 leaves the level, so each sample is its window's level exactly.

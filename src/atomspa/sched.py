@@ -42,8 +42,8 @@ register copy, the last subtraction) spills over the boundary and lands at
 the head of the next window, which is why the window's first cycle carries
 the previous final-product write-back; likewise a window's last cycles may
 carry the next pattern's first fetches.  Each Transaction names the
-pattern instance it belongs to, and _Scheduler.placed where each op of
-each instance was placed.
+pattern instance it belongs to; _Scheduler.placed records once, for both
+kinds, the cycle where each op of each instance was placed.
 
 Besides atoms.PATTERNS, any pair {"D": ..., "A": ...} with the doubling's
 op kind at every position schedules by _Scheduler(timing, tables).windows(),
@@ -218,7 +218,7 @@ class _Scheduler:
         self.addsub = {}           # absolute cycle -> (add/sub state, op kind)
         self.last_step = {}        # block -> last compute cycle of its latest op
         self.barrier = 0           # latest first-partial-product cycle so far
-        # (kind, instance, op index) -> first fetch cycle, or the copy's cycle
+        # (instance, op index) -> both kinds' first fetch or copy cycle
         self.placed = {}
 
     # -- values and write-backs -----------------------------------------------
@@ -333,11 +333,11 @@ class _Scheduler:
 
     # -- op placement ----------------------------------------------------------
 
-    def _place(self, lo, instance, ops, receiver, what):
+    def _place(self, lo, instance, ops, receiver):
         """Commit both plans at the first cycle c from lo where both exist.
 
-        Each op's operands go to receiver, a copy's (receiver None) to its
-        destination.  Records c in placed and returns it.
+        Each op's operands go to receiver, a unit, a copy's (receiver None)
+        to its destination.  Records c in placed and returns it.
         """
         for c in range(lo, lo + 4000):
             plans = {}
@@ -349,13 +349,15 @@ class _Scheduler:
             else:
                 for kind, txs in plans.items():
                     self._commit(kind, txs)
-                    self.placed[kind, instance, ops[kind].index] = c
+                self.placed[instance, ops["D"].index] = c
                 return c
-        raise ScheduleError(f"no slot for {what}")
+        name = self.units[receiver][0] if receiver else "copy"
+        raise ScheduleError(f"no slot for {name} op {ops['D'].index}")
 
-    def _schedule_unit(self, block, instance, ops):
-        """Place one op of each pattern (ops: kind -> op) on unit block."""
-        name, steps, out, lag = self.units[block]
+    def _schedule_unit(self, instance, ops):
+        """Place one op of each pattern (ops: kind -> op) on its unit."""
+        block = MULT if ops["D"].kind == "mul" else ADDSUB
+        _, steps, out, lag = self.units[block]
         # like every op, issue only after earlier products started
         lo = self.barrier + 1
         if block in self.last_step:
@@ -365,12 +367,12 @@ class _Scheduler:
                 lo = max(lo, self.last_step[block] + 1 - min(2, steps))
             else:
                 lo = max(lo, self.last_step[block] + 1 + out)
-        f1 = self._place(lo, instance, ops, block,
-                         f"{name} op {ops['D'].index}")
+        f1 = self._place(lo, instance, ops, block)
         first, last = f1 + 2, f1 + 1 + steps
         for kind, op in ops.items():
             # the unit's previous result, and an older one bound for the same
-            # register, must leave before this one lands
+            # register, must leave before this one lands; the latter keeps one
+            # pending result per register, which ends _land's recursion
             st, txs = self.ps[kind], {}
             for b, pend in st.pending.items():
                 if b == block or pend.dst == op.dst:
@@ -401,18 +403,16 @@ class _Scheduler:
             for pos in self.order:
                 ops = {kind: table[pos] for kind, table in self.tables.items()}
                 if ops["D"].kind == "copy":
-                    self._place(self.barrier + 1, n, ops, None,
-                                f"copy op {ops['D'].index}")
+                    self._place(self.barrier + 1, n, ops, None)
                 else:
-                    self._schedule_unit(
-                        MULT if ops["D"].kind == "mul" else ADDSUB, n, ops)
+                    self._schedule_unit(n, ops)
         return self
 
     def windows(self):
         """The steady-state PatternSchedule of each table, in table order."""
         placed = self.run(8).placed
         # a window opens on op 1's first partial product, after two fetches
-        starts = [placed["D", n, 1] + 2 for n in range(8)]
+        starts = [placed[n, 1] + 2 for n in range(8)]
         periods = [b - a for a, b in zip(starts, starts[1:])]
         if len(periods) < 3 or periods[-1] != periods[-2]:
             raise ScheduleError(

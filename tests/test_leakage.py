@@ -343,7 +343,7 @@ def test_window_edges_carry_the_neighbouring_patterns_ops():
     # pattern's op 1 fetches; simulate_trace renders all six with the
     # window's own kind, and all six leak
     sch = _Scheduler(Timing(), PATTERNS).run(8)
-    start = sch.placed["D", 5, 1] + 2  # the window windows() takes
+    start = sch.placed[5, 1] + 2  # the window windows() takes
     for kind in PATTERNS:
         bus = sch.ps[kind].bus
         owners = {c - start + 1: (bus[c].instance - 5, bus[c].op_index)
@@ -433,6 +433,21 @@ def test_noise_is_standard_normal_up_to_its_cap():
     # float32 uniforms are multiples of 2**-24, so the Box-Muller radius
     # is at most sqrt(-2 ln 2**-24) = 5.76811
     assert np.abs(noise).max() <= 5.7682
+
+
+def test_noise_cap_bounds_the_largest_radius_exactly():
+    # the render's largest radius, in its float32 operations: the largest
+    # uniform, from the 24-bit word 2**24 - 1, leaves 1 - u = 2**-24
+    u = np.full(64, np.float32(2**24 - 1)) * np.float32(2.0**-24)
+    r = np.subtract(1, u)
+    assert (r == np.float32(2.0**-24)).all()
+    np.log(r, out=r)
+    r *= np.float32(-2)
+    np.sqrt(r, out=r)
+    assert (r == np.float32(5.7681074)).all()
+    assert abs(leakage.NOISE_CAP - r[0]) < 1e-4
+    for sigma in (0.001, 0.1, 0.3, 1, 2, 7.7):
+        assert (r * np.float32(sigma)).max() <= leakage.NOISE_CAP * sigma
 
 
 def test_reference_trace_at_zero_noise_is_pinned():

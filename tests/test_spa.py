@@ -293,6 +293,26 @@ def test_run_attack_null_model_fails_closed():
     assert rep.recovered_scalar is None
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="false recoveries; ROADMAP item 1 checks each "
+                          "recovery against the public point")
+@pytest.mark.parametrize("curve, k, alpha, sigma, seed", [
+    ("P-256", 0x6d, 0.0, 0.02, 9),  # reads 0x3f, support 117
+    ("P-256", None, 1.0, 2.0, 8),   # the reference scalar: a wrong 255-bit
+                                    # scalar, support 1
+    ("toy61", 4, 1.0, 0.05, 1),     # reads 0x3, support 32 700
+])
+def test_a_recovery_is_the_run_scalar(curve, k, alpha, sigma, seed):
+    # at the default 300 samples per cycle, as the command line runs them
+    c = get_curve(curve)
+    k = k or scalar_for_pattern_counts(256, 145, c, seed=1)
+    _, seq = k_mul(k, AffinePoint(c.gx, c.gy), c)
+    rep = run_attack(simulate_trace(seq, D, A, LeakageParams(
+        alpha=alpha, sigma=sigma, seed=seed)))
+    assert not rep.recovered or rep.recovered_bits == recover_scalar(
+        "".join(seq))
+
+
 @pytest.mark.parametrize("plan", ["karatsuba4", "classical"])
 @pytest.mark.parametrize("overlap", [True, False])
 def test_every_toy61_scalar_with_an_addition_recovers(plan, overlap):
